@@ -15,6 +15,12 @@
 //! it, which is what makes the duty-only fast path bit-identical to the
 //! traced diagnostic path: they consume literally the same numbers in
 //! the same order, and only differ in what they *record*.
+//!
+//! The table also summarises each fixed block of [`BLOCK_LEN`] samples
+//! as a [`DriveBlock`]: the drive-field range and the largest slew rate
+//! in the block. Like the samples, these bounds do not depend on the
+//! external field; the event-driven kernel turns them into per-block
+//! quiet radii once per front-end (see [`crate::kernel`]).
 
 use crate::oscillator::TriangleWave;
 use crate::vi_converter::ViConverter;
@@ -39,11 +45,49 @@ pub struct DriveSample {
     pub clips: bool,
 }
 
+/// Grid samples per [`DriveBlock`]; the last block of a period is
+/// shorter when the period is not a multiple of it.
+pub const BLOCK_LEN: usize = 32;
+
+/// Field-independent bounds of the drive over one block of the table.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DriveBlock {
+    /// Smallest `h_drive` in the block.
+    pub h_lo: AmperePerMeter,
+    /// Largest `h_drive` in the block.
+    pub h_hi: AmperePerMeter,
+    /// Largest `|dh_dt|` in the block, A/m/s; NaN if any drive value in
+    /// the block is not finite, so that no bound built on it can hold.
+    pub max_dh_dt: f64,
+}
+
+impl DriveBlock {
+    fn spanning(samples: &[DriveSample]) -> Self {
+        let mut lo = f64::INFINITY;
+        let mut hi = f64::NEG_INFINITY;
+        let mut max_dh_dt = 0.0_f64;
+        let mut finite = true;
+        for s in samples {
+            let h = s.h_drive.value();
+            finite &= h.is_finite() && s.dh_dt.is_finite();
+            lo = lo.min(h);
+            hi = hi.max(h);
+            max_dh_dt = max_dh_dt.max(s.dh_dt.abs());
+        }
+        Self {
+            h_lo: AmperePerMeter::new(lo),
+            h_hi: AmperePerMeter::new(hi),
+            max_dh_dt: if finite { max_dh_dt } else { f64::NAN },
+        }
+    }
+}
+
 /// One period of the periodic oscillator → V-I → coil drive chain,
 /// sampled on the front-end's analogue grid.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExcitationTable {
     samples: Vec<DriveSample>,
+    blocks: Vec<DriveBlock>,
     any_clips: bool,
 }
 
@@ -61,18 +105,13 @@ impl ExcitationTable {
         let dt = period / samples as f64;
         let load = sensor.params().r_excitation;
         let mut any_clips = false;
-        let samples = (0..samples)
+        let samples: Vec<DriveSample> = (0..samples)
             .map(|k| {
-                let t = k as f64 * dt;
-                let demanded = excitation.value(t);
+                let (demanded, slope) = excitation.value_and_slope(k as f64 * dt);
                 let i = vi.drive(demanded, load);
                 let clips = vi.clips(demanded, load);
                 any_clips |= clips;
-                let di_dt = if i == demanded {
-                    excitation.slope(t)
-                } else {
-                    0.0
-                };
+                let di_dt = if i == demanded { slope } else { 0.0 };
                 DriveSample {
                     i,
                     di_dt,
@@ -82,12 +121,27 @@ impl ExcitationTable {
                 }
             })
             .collect();
-        Self { samples, any_clips }
+        let blocks = samples
+            .chunks(BLOCK_LEN)
+            .map(DriveBlock::spanning)
+            .collect();
+        Self {
+            samples,
+            blocks,
+            any_clips,
+        }
     }
 
     /// The drive samples of one period, in grid order.
     pub fn samples(&self) -> &[DriveSample] {
         &self.samples
+    }
+
+    /// The drive bounds of each [`BLOCK_LEN`]-sample block, in grid
+    /// order: block `b` covers samples `b·BLOCK_LEN ..` up to the next
+    /// block or the end of the period.
+    pub fn blocks(&self) -> &[DriveBlock] {
+        &self.blocks
     }
 
     /// Number of grid samples per period.
@@ -173,5 +227,26 @@ mod tests {
         }
         // The triangle crosses zero, so not every sample clips.
         assert!(table.samples().iter().any(|d| !d.clips));
+    }
+
+    #[test]
+    fn blocks_bound_every_sample() {
+        let excitation = TriangleWave::paper_excitation();
+        let vi = ViConverter::paper_design();
+        let sensor = Fluxgate::new(FluxgateParams::adapted());
+        // 1000 is not a multiple of the block length: the last block is
+        // short.
+        let table = ExcitationTable::build(&excitation, &vi, &sensor, 1000);
+        assert_eq!(table.blocks().len(), 1000usize.div_ceil(BLOCK_LEN));
+        for (b, block) in table.blocks().iter().enumerate() {
+            let chunk = &table.samples()[b * BLOCK_LEN..((b + 1) * BLOCK_LEN).min(1000)];
+            for drive in chunk {
+                assert!(block.h_lo <= drive.h_drive && drive.h_drive <= block.h_hi);
+                assert!(drive.dh_dt.abs() <= block.max_dh_dt);
+            }
+            assert!(chunk.iter().any(|d| d.h_drive == block.h_lo));
+            assert!(chunk.iter().any(|d| d.h_drive == block.h_hi));
+            assert!(chunk.iter().any(|d| d.dh_dt.abs() == block.max_dh_dt));
+        }
     }
 }

@@ -29,6 +29,7 @@
 
 use crate::detector::{duty_cycle, DetectorConfig, PulsePositionDetector};
 use crate::excitation::ExcitationTable;
+use crate::kernel::{build_quiet_radii, Run, RunMeasurement, RunSink};
 use crate::oscillator::TriangleWave;
 use crate::vi_converter::ViConverter;
 use fluxcomp_fluxgate::noise::GaussianNoise;
@@ -63,6 +64,43 @@ pub enum FrontEndError {
         /// The message [`FluxgateParams::check`] rejected them with.
         reason: &'static str,
     },
+    /// `pickup_noise_rms` is negative or not finite.
+    BadNoise,
+    /// A comparator width — hysteresis or propagation delay — is
+    /// negative, NaN or infinite.
+    BadDetectorWidth {
+        /// Which parameter.
+        param: DetectorParam,
+    },
+    /// A comparator level — threshold or offset — is not finite.
+    NonFiniteDetectorLevel {
+        /// Which parameter.
+        param: DetectorParam,
+    },
+}
+
+/// The [`DetectorConfig`] field a [`FrontEndError`] refers to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum DetectorParam {
+    /// [`DetectorConfig::threshold`].
+    Threshold,
+    /// [`DetectorConfig::hysteresis`].
+    Hysteresis,
+    /// [`DetectorConfig::offset`].
+    Offset,
+    /// [`DetectorConfig::delay`].
+    Delay,
+}
+
+impl fmt::Display for DetectorParam {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            DetectorParam::Threshold => "threshold",
+            DetectorParam::Hysteresis => "hysteresis",
+            DetectorParam::Offset => "offset",
+            DetectorParam::Delay => "delay",
+        })
+    }
 }
 
 impl fmt::Display for FrontEndError {
@@ -73,6 +111,15 @@ impl fmt::Display for FrontEndError {
             }
             FrontEndError::NoMeasurePeriods => write!(f, "need at least one measurement period"),
             FrontEndError::BadSensor { reason } => write!(f, "invalid sensor element: {reason}"),
+            FrontEndError::BadNoise => {
+                write!(f, "pickup noise RMS must be finite and non-negative")
+            }
+            FrontEndError::BadDetectorWidth { param } => {
+                write!(f, "detector {param} must be finite and non-negative")
+            }
+            FrontEndError::NonFiniteDetectorLevel { param } => {
+                write!(f, "detector {param} must be finite")
+            }
         }
     }
 }
@@ -134,6 +181,28 @@ impl FrontEndConfig {
         }
         if self.measure_periods == 0 {
             return Err(FrontEndError::NoMeasurePeriods);
+        }
+        // The noise source and the comparators assert these at
+        // measurement time; reject them here instead.
+        if !(self.pickup_noise_rms >= 0.0 && self.pickup_noise_rms.is_finite()) {
+            return Err(FrontEndError::BadNoise);
+        }
+        let d = &self.detector;
+        for (param, width) in [
+            (DetectorParam::Hysteresis, d.hysteresis.value()),
+            (DetectorParam::Delay, d.delay.value()),
+        ] {
+            if !(width >= 0.0 && width.is_finite()) {
+                return Err(FrontEndError::BadDetectorWidth { param });
+            }
+        }
+        for (param, level) in [
+            (DetectorParam::Threshold, d.threshold.value()),
+            (DetectorParam::Offset, d.offset.value()),
+        ] {
+            if !level.is_finite() {
+                return Err(FrontEndError::NonFiniteDetectorLevel { param });
+            }
         }
         self.sensor
             .check()
@@ -202,6 +271,9 @@ pub struct FrontEnd {
     config: FrontEndConfig,
     sensor: Fluxgate,
     table: ExcitationTable,
+    /// Per-block quiet radii of the event-driven kernel
+    /// ([`crate::kernel`]), derived once from the table.
+    quiet: Vec<Option<f64>>,
 }
 
 impl FrontEnd {
@@ -210,9 +282,9 @@ impl FrontEnd {
     ///
     /// # Errors
     ///
-    /// The [`FrontEndConfig::check`] error if `samples_per_period < 16`
-    /// or `measure_periods == 0`, or if the sensor parameters are
-    /// invalid.
+    /// The [`FrontEndConfig::check`] error if `samples_per_period < 16`,
+    /// `measure_periods == 0`, the noise or detector parameters are out
+    /// of range, or the sensor parameters are invalid.
     pub fn new(config: FrontEndConfig) -> Result<Self, FrontEndError> {
         config.check()?;
         let sensor = Fluxgate::new(config.sensor);
@@ -222,10 +294,12 @@ impl FrontEnd {
             &sensor,
             config.samples_per_period,
         );
+        let quiet = build_quiet_radii(&table, &sensor, &config.detector);
         Ok(Self {
             config,
             sensor,
             table,
+            quiet,
         })
     }
 
@@ -242,6 +316,12 @@ impl FrontEnd {
     /// The precomputed one-period excitation drive table.
     pub fn excitation_table(&self) -> &ExcitationTable {
         &self.table
+    }
+
+    /// The quiet radius of each excitation-table block (`None`: never
+    /// quiet); see [`crate::kernel`].
+    pub(crate) fn quiet_radii(&self) -> &[Option<f64>] {
+        &self.quiet
     }
 
     /// The peak excitation field the configured drive produces (after
@@ -358,18 +438,56 @@ impl FrontEnd {
     /// Like [`measure`](Self::measure), but with an explicit noise seed.
     pub fn measure_with_seed(&self, h_ext: AmperePerMeter, noise_seed: u64) -> MeasureResult {
         let mut detector = PulsePositionDetector::new(self.config.detector);
-        self.measure_into(h_ext, noise_seed, &mut detector, |_, _| {})
+        self.measure_runs(h_ext, noise_seed, &mut detector, &mut Vec::new(), |_| {})
+            .result
     }
 
-    /// The core of the fast path: measures into a caller-provided
-    /// detector (reset on entry, so a scratch detector can be reused
-    /// across any number of measurements) and reports every measurement-
-    /// window sample to `on_sample(index, output)` as it happens.
+    /// The run-length entry point every fix goes through: measures into
+    /// a caller-provided detector (reset on entry) and reports the
+    /// measurement-window detector output as maximal constant-level
+    /// [`Run`]s, in time order.
     ///
-    /// `on_sample` is how the digital side rides along without an
-    /// intermediate buffer: the compass feeds each sample straight into
-    /// the up/down counter via its precomputed clock schedule. Indices
-    /// run `0..measure_periods·samples_per_period` in time order.
+    /// A noiseless channel (`pickup_noise_rms == 0.0`) runs the
+    /// event-driven kernel of [`crate::kernel`], which evaluates only a
+    /// few percent of the grid; a noisy one runs the per-sample
+    /// [`measure_into`](Self::measure_into) and coalesces its samples.
+    /// Both return the per-sample result bit for bit. `period` is
+    /// scratch space for one period's runs, reused across calls.
+    pub fn measure_runs(
+        &self,
+        h_ext: AmperePerMeter,
+        noise_seed: u64,
+        detector: &mut PulsePositionDetector,
+        period: &mut Vec<Run>,
+        on_run: impl FnMut(Run),
+    ) -> RunMeasurement {
+        if self.config.pickup_noise_rms == 0.0 {
+            let _run = fluxcomp_obs::span("afe.measure");
+            return self.measure_events(h_ext, detector, period, on_run);
+        }
+        let mut sink = RunSink::new(on_run);
+        let result = self.measure_into(h_ext, noise_seed, detector, |index, level| {
+            sink.push(index, 1, level);
+        });
+        sink.finish();
+        let cfg = &self.config;
+        RunMeasurement {
+            result,
+            evaluated_samples: ((cfg.settle_periods + cfg.measure_periods) * cfg.samples_per_period)
+                as u64,
+        }
+    }
+
+    /// The per-sample oracle: measures into a caller-provided detector
+    /// (reset on entry, so a scratch detector can be reused across any
+    /// number of measurements), stepping every grid sample, and reports
+    /// every measurement-window sample to `on_sample(index, output)` as
+    /// it happens. Indices run `0..measure_periods·samples_per_period`
+    /// in time order.
+    ///
+    /// Noisy fixes run this loop through
+    /// [`measure_runs`](Self::measure_runs); noiseless ones take the
+    /// event-driven kernel, which this loop is the reference for.
     pub fn measure_into(
         &self,
         h_ext: AmperePerMeter,
@@ -416,7 +534,19 @@ impl FrontEnd {
             }
         }
 
-        let measure_samples = index as u64;
+        self.finish_measure(high_samples, index as u64, pulse_edges)
+    }
+
+    /// The tallies every measurement path ends with, plus their
+    /// observability counters. `msim.analog_steps` counts the logical
+    /// grid, however few samples a path actually evaluated.
+    pub(crate) fn finish_measure(
+        &self,
+        high_samples: u64,
+        measure_samples: u64,
+        pulse_edges: u64,
+    ) -> MeasureResult {
+        let cfg = &self.config;
         // Same division as `duty_cycle(&detector_samples)` on the traced
         // path: high/total as f64 — bit-identical by construction.
         let duty = high_samples as f64 / measure_samples as f64;
@@ -525,22 +655,8 @@ impl FrontEnd {
             }
         }
 
-        let measure_samples = index as u64;
-        let duty = high_samples as f64 / measure_samples as f64;
-        let clipped = self.table.any_clips();
-        fluxcomp_obs::counter_add("msim.analog_steps", global as u64);
-        fluxcomp_obs::counter_add("afe.measures", 1);
         fluxcomp_obs::counter_add("faults.faulted_measures", 1);
-        fluxcomp_obs::counter_add("afe.pulse_edges", pulse_edges);
-        fluxcomp_obs::counter_add("afe.clipped_runs", u64::from(clipped));
-        fluxcomp_obs::histogram_record("afe.duty", duty);
-        MeasureResult {
-            duty,
-            clipped,
-            pulse_edges,
-            high_samples,
-            measure_samples,
-        }
+        self.finish_measure(high_samples, index as u64, pulse_edges)
     }
 }
 
@@ -704,7 +820,8 @@ mod tests {
     /// The contract the whole fast path rests on: for every configuration
     /// class (clean, noisy, clipping, hysteretic core), every seed and
     /// every field, the duty-only tier reproduces the traced tier bit for
-    /// bit.
+    /// bit. `measure` goes through `measure_runs`, so the noiseless
+    /// classes here run the event-driven kernel.
     #[test]
     fn measure_matches_run_bitwise() {
         let noisy = {
@@ -752,6 +869,147 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Expands the kernel's runs back into samples: they must tile the
+    /// measurement window and reproduce the per-sample oracle's stream.
+    fn kernel_samples(fe: &FrontEnd, h: AmperePerMeter) -> (Vec<bool>, RunMeasurement) {
+        let mut detector = PulsePositionDetector::new(fe.config().detector);
+        let mut samples = Vec::new();
+        let mut prev: Option<Run> = None;
+        let outcome = fe.measure_runs(h, 7, &mut detector, &mut Vec::new(), |run| {
+            assert_eq!(run.start, samples.len(), "runs tile the window in order");
+            assert!(run.len > 0);
+            if let Some(p) = prev {
+                assert_ne!(p.level, run.level, "runs are maximal");
+            }
+            prev = Some(run);
+            samples.extend(std::iter::repeat_n(run.level, run.len));
+        });
+        (samples, outcome)
+    }
+
+    #[test]
+    fn kernel_matches_the_per_sample_oracle() {
+        let offset_detector = {
+            let mut cfg = FrontEndConfig::paper_design();
+            cfg.detector.offset = fluxcomp_units::Volt::new(0.005);
+            cfg.settle_periods = 0;
+            cfg
+        };
+        let clipping = {
+            let mut cfg = FrontEndConfig::paper_design();
+            cfg.sensor.r_excitation = fluxcomp_units::Ohm::new(2_000.0);
+            cfg
+        };
+        let hysteretic = {
+            let mut cfg = FrontEndConfig::paper_design();
+            cfg.sensor = FluxgateParams::adapted_hysteretic(0.1);
+            cfg.samples_per_period = 1000;
+            cfg
+        };
+        for cfg in [
+            FrontEndConfig::paper_design(),
+            offset_detector,
+            clipping,
+            hysteretic,
+        ] {
+            let fe = FrontEnd::new(cfg).expect("valid config");
+            for h in [-250.0, -20.0, -0.0, 0.0, 11.9, 300.0] {
+                let h = AmperePerMeter::new(h);
+                let mut detector = PulsePositionDetector::new(fe.config().detector);
+                let mut oracle = Vec::new();
+                let expected = fe.measure_into(h, 7, &mut detector, |_, out| oracle.push(out));
+                let (samples, outcome) = kernel_samples(&fe, h);
+                assert_eq!(outcome.result, expected, "{h}");
+                assert_eq!(outcome.result.duty.to_bits(), expected.duty.to_bits());
+                assert_eq!(samples, oracle, "{h}");
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_evaluates_a_small_share_of_the_grid() {
+        let mut cfg = FrontEndConfig::paper_design();
+        cfg.measure_periods = 8;
+        let fe = FrontEnd::new(cfg).expect("valid config");
+        let grid = 9 * 4096;
+        for h in [-60.0, 0.0, 12.0, 60.0] {
+            let (_, outcome) = kernel_samples(&fe, AmperePerMeter::new(h));
+            eprintln!("EVAL {h} {}", outcome.evaluated_samples);
+            assert!(
+                outcome.evaluated_samples * 10 <= grid,
+                "{h} A/m: {} of {grid} samples evaluated",
+                outcome.evaluated_samples
+            );
+        }
+    }
+
+    #[test]
+    fn noisy_channel_runs_the_per_sample_loop() {
+        let mut cfg = FrontEndConfig::paper_design();
+        cfg.pickup_noise_rms = 2e-3;
+        cfg.detector.hysteresis = fluxcomp_units::Volt::new(0.016);
+        let fe = FrontEnd::new(cfg).expect("valid config");
+        let h = h_from_microtesla(15.0);
+        let mut detector = PulsePositionDetector::new(fe.config().detector);
+        let mut oracle = Vec::new();
+        let expected = fe.measure_into(h, 7, &mut detector, |_, out| oracle.push(out));
+        let (samples, outcome) = kernel_samples(&fe, h);
+        assert_eq!(outcome.result, expected);
+        assert_eq!(samples, oracle);
+        assert_eq!(outcome.evaluated_samples, 5 * 4096);
+    }
+
+    #[test]
+    fn invalid_noise_and_detector_params_rejected() {
+        type Mutation = fn(&mut FrontEndConfig);
+        let cases: [(Mutation, FrontEndError); 7] = [
+            (|c| c.pickup_noise_rms = -1e-3, FrontEndError::BadNoise),
+            (|c| c.pickup_noise_rms = f64::NAN, FrontEndError::BadNoise),
+            (
+                |c| c.detector.hysteresis = fluxcomp_units::Volt::new(-1e-3),
+                FrontEndError::BadDetectorWidth {
+                    param: DetectorParam::Hysteresis,
+                },
+            ),
+            (
+                |c| c.detector.delay = Seconds::new(-1e-9),
+                FrontEndError::BadDetectorWidth {
+                    param: DetectorParam::Delay,
+                },
+            ),
+            (
+                |c| c.detector.hysteresis = fluxcomp_units::Volt::new(f64::INFINITY),
+                FrontEndError::BadDetectorWidth {
+                    param: DetectorParam::Hysteresis,
+                },
+            ),
+            (
+                |c| c.detector.threshold = fluxcomp_units::Volt::new(f64::NAN),
+                FrontEndError::NonFiniteDetectorLevel {
+                    param: DetectorParam::Threshold,
+                },
+            ),
+            (
+                |c| c.detector.offset = fluxcomp_units::Volt::new(f64::NEG_INFINITY),
+                FrontEndError::NonFiniteDetectorLevel {
+                    param: DetectorParam::Offset,
+                },
+            ),
+        ];
+        for (mutate, expected) in cases {
+            let mut cfg = FrontEndConfig::paper_design();
+            mutate(&mut cfg);
+            assert_eq!(cfg.check(), Err(expected));
+            assert_eq!(FrontEnd::new(cfg).unwrap_err(), expected);
+            assert!(!expected.to_string().is_empty());
+        }
+        assert!(FrontEndError::BadDetectorWidth {
+            param: DetectorParam::Hysteresis
+        }
+        .to_string()
+        .contains("hysteresis"));
     }
 
     #[test]

@@ -15,6 +15,9 @@
 //! * [`excitation`] — the precomputed one-period drive table (the
 //!   oscillator→V-I chain is periodic and field-independent, so both
 //!   measurement tiers read it instead of re-evaluating per sample);
+//! * [`kernel`] — the event-driven noiseless measurement kernel (period
+//!   replication, quiet-block skipping, run-length output), bit-identical
+//!   to the per-sample loop;
 //! * [`second_harmonic`] — the classical readout the paper argues
 //!   against, implemented as the baseline for experiment E8;
 //! * [`frontend`] — the transient simulation wiring oscillator + V-I +
@@ -51,6 +54,7 @@ pub mod comparator;
 pub mod detector;
 pub mod excitation;
 pub mod frontend;
+pub mod kernel;
 pub mod mux;
 pub mod oscillator;
 pub mod power;
@@ -60,8 +64,11 @@ pub mod vi_converter;
 
 pub use comparator::Comparator;
 pub use detector::{DetectorConfig, PulsePositionDetector};
-pub use excitation::{DriveSample, ExcitationTable};
-pub use frontend::{FrontEnd, FrontEndConfig, FrontEndError, FrontEndResult, MeasureResult};
+pub use excitation::{DriveBlock, DriveSample, ExcitationTable};
+pub use frontend::{
+    DetectorParam, FrontEnd, FrontEndConfig, FrontEndError, FrontEndResult, MeasureResult,
+};
+pub use kernel::{Run, RunMeasurement};
 pub use mux::AnalogMux;
 pub use oscillator::{OffsetCorrection, RelaxationOscillator, TriangleWave};
 pub use power::{BlockCurrents, PowerModel, Schedule};

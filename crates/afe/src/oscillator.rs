@@ -88,27 +88,34 @@ impl TriangleWave {
     /// returns to the minimum at `T` — so the *rising* sweep occupies the
     /// first half period.
     pub fn value(&self, t: f64) -> Ampere {
-        let period = 1.0 / self.frequency.value();
-        let phase = (t / period).rem_euclid(1.0);
-        let peak = self.amplitude_pp.value() / 2.0;
-        let v = if phase < 0.5 {
-            -peak + 4.0 * peak * phase
-        } else {
-            3.0 * peak - 4.0 * peak * phase
-        };
-        Ampere::new(v + self.dc_offset.value())
+        self.value_and_slope(t).0
     }
 
     /// Instantaneous slope `di/dt` in A/s at time `t`.
     pub fn slope(&self, t: f64) -> f64 {
+        self.value_and_slope(t).1
+    }
+
+    /// [`value`](Self::value) and [`slope`](Self::slope) at `t` from a
+    /// single phase evaluation.
+    pub fn value_and_slope(&self, t: f64) -> (Ampere, f64) {
         let period = 1.0 / self.frequency.value();
-        let phase = (t / period).rem_euclid(1.0);
-        let peak = self.amplitude_pp.value() / 2.0;
-        if phase < 0.5 {
-            4.0 * peak / period
+        let cycles = t / period;
+        // `rem_euclid(1.0)` is exact and returns `cycles` itself on
+        // [0, 1), where every grid sample of the first period lands; skip
+        // the remainder there.
+        let phase = if (0.0..1.0).contains(&cycles) {
+            cycles
         } else {
-            -4.0 * peak / period
-        }
+            cycles.rem_euclid(1.0)
+        };
+        let peak = self.amplitude_pp.value() / 2.0;
+        let (v, slope) = if phase < 0.5 {
+            (-peak + 4.0 * peak * phase, 4.0 * peak / period)
+        } else {
+            (3.0 * peak - 4.0 * peak * phase, -4.0 * peak / period)
+        };
+        (Ampere::new(v + self.dc_offset.value()), slope)
     }
 
     /// Mean of the waveform over a whole period — equals the dc offset.

@@ -231,6 +231,42 @@ mod tests {
     }
 
     #[test]
+    fn invalid_noise_and_detector_are_errors_not_measure_time_panics() {
+        // Both must fail construction: past it, the first fix would
+        // panic in GaussianNoise::new, or MeasureScratch::for_design in
+        // Comparator::new.
+        use fluxcomp_afe::frontend::DetectorParam;
+        let mut cfg = CompassConfig::paper_design();
+        cfg.frontend.pickup_noise_rms = -1e-3;
+        assert_eq!(
+            crate::CompassDesign::new(cfg).unwrap_err(),
+            BuildError::BadFrontEnd {
+                reason: FrontEndError::BadNoise
+            }
+        );
+        let mut cfg = CompassConfig::paper_design();
+        cfg.frontend.detector.hysteresis = fluxcomp_units::Volt::new(-1e-3);
+        assert_eq!(
+            crate::CompassDesign::new(cfg).unwrap_err(),
+            BuildError::BadFrontEnd {
+                reason: FrontEndError::BadDetectorWidth {
+                    param: DetectorParam::Hysteresis
+                }
+            }
+        );
+        let mut cfg = CompassConfig::paper_design();
+        cfg.frontend.detector.offset = fluxcomp_units::Volt::new(f64::NAN);
+        assert_eq!(
+            cfg.validate(),
+            Err(BuildError::BadFrontEnd {
+                reason: FrontEndError::NonFiniteDetectorLevel {
+                    param: DetectorParam::Offset
+                }
+            })
+        );
+    }
+
+    #[test]
     fn validation_order_reports_cordic_first() {
         let mut cfg = CompassConfig::paper_design();
         cfg.cordic_iterations = 0;

@@ -31,6 +31,7 @@
 use crate::config::{BuildError, CompassConfig};
 use fluxcomp_afe::detector::PulsePositionDetector;
 use fluxcomp_afe::frontend::{FrontEnd, FrontEndResult};
+use fluxcomp_afe::kernel::Run;
 use fluxcomp_fluxgate::pair::{Axis, SensorPair};
 use fluxcomp_rtl::cordic::CordicArctan;
 use fluxcomp_rtl::counter::{sample_at_clock, ClockSchedule, UpDownCounter};
@@ -83,8 +84,9 @@ pub struct CompassDesign {
     schedule: ClockSchedule,
 }
 
-/// Reusable per-worker state for the duty-only fast path: one detector
-/// and one up/down counter, both fully reset at the start of every fix.
+/// Reusable per-worker state for the duty-only fast path: one detector,
+/// one up/down counter (both fully reset at the start of every fix) and
+/// the event-driven kernel's one-period run record.
 ///
 /// Build one per worker with [`MeasureScratch::for_design`] and pass it
 /// to [`CompassDesign::measure_axis_scratch`] /
@@ -95,6 +97,7 @@ pub struct CompassDesign {
 pub struct MeasureScratch {
     detector: PulsePositionDetector,
     counter: UpDownCounter,
+    period: Vec<Run>,
 }
 
 impl MeasureScratch {
@@ -104,6 +107,7 @@ impl MeasureScratch {
         Self {
             detector: PulsePositionDetector::new(design.config.frontend.detector),
             counter: UpDownCounter::paper_design(),
+            period: Vec::new(),
         }
     }
 }
@@ -173,10 +177,13 @@ impl CompassDesign {
     /// fused with counter integration through a caller-owned
     /// [`MeasureScratch`].
     ///
-    /// The detector output is fed straight into the up/down counter via
-    /// the precomputed [`ClockSchedule`] — no waveform traces, no
-    /// detector-sample buffer, no clock-domain resampling pass. Output is
-    /// bit-identical to [`measure_axis_traced`](Self::measure_axis_traced).
+    /// The detector output arrives as constant-level runs from
+    /// [`FrontEnd::measure_runs`] (the event-driven kernel when the
+    /// channel is noiseless) and each run is clocked into the up/down
+    /// counter in one step through the precomputed [`ClockSchedule`] —
+    /// no waveform traces, no detector-sample buffer, no clock-domain
+    /// resampling pass. Output is bit-identical to
+    /// [`measure_axis_traced`](Self::measure_axis_traced).
     pub fn measure_axis_scratch(
         &self,
         axis: Axis,
@@ -206,14 +213,22 @@ impl CompassDesign {
         // One span covers the fused excitation→detector→counter pass;
         // the traced tier keeps the three per-stage spans.
         let _excitation = fluxcomp_obs::span("compass.stage.excitation");
-        let MeasureScratch { detector, counter } = scratch;
+        let MeasureScratch {
+            detector,
+            counter,
+            period,
+        } = scratch;
         counter.reset();
         let schedule = &self.schedule;
         let outcome = self
             .frontend
-            .measure_into(h_ext, noise_seed, detector, |index, up| {
-                counter.clock_n(up, schedule.edges_at(index));
-            });
+            .measure_runs(h_ext, noise_seed, detector, period, |run| {
+                counter.clock_n(
+                    run.level,
+                    schedule.edges_between(run.start, run.start + run.len),
+                );
+            })
+            .result;
         AxisMeasurement {
             axis,
             duty: outcome.duty,
@@ -382,7 +397,9 @@ impl CompassDesign {
             return self.measure_axis_field_scratch(axis, h_ext, noise_seed, scratch);
         }
         let _excitation = fluxcomp_obs::span("compass.stage.excitation");
-        let MeasureScratch { detector, counter } = scratch;
+        let MeasureScratch {
+            detector, counter, ..
+        } = scratch;
         counter.reset();
         let schedule = &self.schedule;
         let outcome = self.frontend.measure_into_faulted(

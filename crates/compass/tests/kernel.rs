@@ -1,0 +1,178 @@
+//! Differential gate for the event-driven noiseless kernel.
+//!
+//! `FrontEnd::measure_runs` (the kernel, counted run by run through
+//! `ClockSchedule::edges_between`) against the per-sample oracle
+//! `FrontEnd::measure_into` (counted sample by sample through
+//! `edges_at`): duty, counts, high samples, pulse edges and clipping must
+//! agree bit for bit on every configuration class the kernel accepts.
+
+use fluxcomp_afe::detector::PulsePositionDetector;
+use fluxcomp_afe::frontend::{FrontEnd, FrontEndConfig, MeasureResult};
+use fluxcomp_fluxgate::transducer::FluxgateParams;
+use fluxcomp_rtl::clock::ClockTree;
+use fluxcomp_rtl::counter::{ClockSchedule, UpDownCounter};
+use fluxcomp_units::magnetics::AmperePerMeter;
+use fluxcomp_units::si::{Ampere, Ohm, Volt};
+use proptest::prelude::*;
+
+/// Counter widths every comparison runs: the paper's 16 bits and a
+/// 4-bit counter that rails within the window.
+const WIDTHS: [u32; 2] = [16, 4];
+
+struct Outcome {
+    result: MeasureResult,
+    counts: [i64; 2],
+}
+
+fn schedule(fe: &FrontEnd) -> ClockSchedule {
+    let cfg = fe.config();
+    ClockSchedule::new(
+        cfg.measure_periods * cfg.samples_per_period,
+        cfg.measure_periods as f64 / cfg.excitation.frequency().value(),
+        ClockTree::paper().master(),
+    )
+}
+
+fn oracle(fe: &FrontEnd, schedule: &ClockSchedule, h: AmperePerMeter) -> Outcome {
+    let mut detector = PulsePositionDetector::new(fe.config().detector);
+    let mut counters = WIDTHS.map(UpDownCounter::new);
+    let result = fe.measure_into(h, 1, &mut detector, |index, up| {
+        for c in &mut counters {
+            c.clock_n(up, schedule.edges_at(index));
+        }
+    });
+    Outcome {
+        result,
+        counts: counters.map(|c| c.value()),
+    }
+}
+
+fn kernel(fe: &FrontEnd, schedule: &ClockSchedule, h: AmperePerMeter) -> (Outcome, u64) {
+    let mut detector = PulsePositionDetector::new(fe.config().detector);
+    let mut counters = WIDTHS.map(UpDownCounter::new);
+    let outcome = fe.measure_runs(h, 1, &mut detector, &mut Vec::new(), |run| {
+        let edges = schedule.edges_between(run.start, run.start + run.len);
+        for c in &mut counters {
+            c.clock_n(run.level, edges);
+        }
+    });
+    (
+        Outcome {
+            result: outcome.result,
+            counts: counters.map(|c| c.value()),
+        },
+        outcome.evaluated_samples,
+    )
+}
+
+/// Runs both paths and compares every output bit; returns the kernel's
+/// evaluated-sample count.
+fn differential(cfg: FrontEndConfig, h: f64) -> Result<u64, TestCaseError> {
+    let fe = FrontEnd::new(cfg).expect("valid config");
+    let schedule = schedule(&fe);
+    let h = AmperePerMeter::new(h);
+    let expected = oracle(&fe, &schedule, h);
+    let (got, evaluated) = kernel(&fe, &schedule, h);
+    prop_assert_eq!(got.result.duty.to_bits(), expected.result.duty.to_bits());
+    prop_assert_eq!(got.counts, expected.counts);
+    prop_assert_eq!(got.result.high_samples, expected.result.high_samples);
+    prop_assert_eq!(got.result.pulse_edges, expected.result.pulse_edges);
+    prop_assert_eq!(got.result.clipped, expected.result.clipped);
+    prop_assert_eq!(got.result, expected.result);
+    Ok(evaluated)
+}
+
+/// `h`, with the two signed zeros drawn on purpose.
+fn field(pick: u8, h: f64) -> f64 {
+    match pick {
+        0 => 0.0,
+        1 => -0.0,
+        _ => h,
+    }
+}
+
+fn paper_grid() -> FrontEndConfig {
+    // The compass's channel: 1 settle + 8 measure periods of 4096.
+    let mut cfg = FrontEndConfig::paper_design();
+    cfg.measure_periods = 8;
+    cfg
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 400, ..ProptestConfig::default() })]
+
+    /// Every configuration class, grid shape and run length.
+    #[test]
+    fn kernel_matches_the_per_sample_oracle(
+        class in 0usize..5,
+        h_pick in 0u8..12,
+        h in -300.0f64..300.0,
+        grid in (0usize..3, 0usize..3, 0usize..3),
+        knobs in (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0),
+    ) {
+        let mut cfg = FrontEndConfig::paper_design();
+        match class {
+            0 => {}
+            1 => cfg.sensor.r_excitation = Ohm::new(2_000.0),
+            2 => cfg.sensor = FluxgateParams::adapted_hysteretic(0.1),
+            3 => {
+                let offset = Ampere::new((knobs.0 - 0.5) * 4e-3);
+                cfg.excitation = cfg.excitation.with_dc_offset(offset);
+            }
+            _ => {
+                // Threshold 2–50 mV, hysteresis 0–20 mV, offset ±15 mV:
+                // the quiet limit is often small and sometimes ≤ 0.
+                cfg.detector.threshold = Volt::new(0.002 + knobs.0 * 0.048);
+                cfg.detector.hysteresis = Volt::new(knobs.1 * 0.02);
+                cfg.detector.offset = Volt::new((knobs.2 - 0.5) * 0.03);
+            }
+        }
+        cfg.samples_per_period = [4096, 1000, 333][grid.0];
+        cfg.settle_periods = [1, 0, 3][grid.1];
+        cfg.measure_periods = [8, 1, 4][grid.2];
+        differential(cfg, field(h_pick, h))?;
+    }
+
+    /// On the paper design the kernel evaluates at most a tenth of the
+    /// grid — taken from its own return value, not a global recorder.
+    #[test]
+    fn kernel_skips_most_of_the_paper_grid(h_pick in 0u8..12, h in -300.0f64..300.0) {
+        let cfg = paper_grid();
+        let grid = ((cfg.settle_periods + cfg.measure_periods) * cfg.samples_per_period) as u64;
+        let evaluated = differential(cfg, field(h_pick, h))?;
+        prop_assert!(evaluated * 10 <= grid, "{} of {} samples evaluated", evaluated, grid);
+    }
+}
+
+#[test]
+fn a_non_positive_quiet_limit_skips_nothing() {
+    // threshold − hysteresis/2 = −2 mV: a comparator can switch at any
+    // input, so no block is quiet — but replication still applies.
+    let mut cfg = paper_grid();
+    cfg.detector.threshold = Volt::new(0.002);
+    cfg.detector.hysteresis = Volt::new(0.008);
+    let n = cfg.samples_per_period as u64;
+    for h in [-120.0, 0.0, 35.0] {
+        let evaluated = differential(cfg.clone(), h).expect("kernel == oracle");
+        assert_eq!(evaluated % n, 0, "whole periods only at {h} A/m");
+        assert!(evaluated >= n, "at {h} A/m");
+    }
+    // With an offset eating the whole budget, the same holds.
+    let mut cfg = paper_grid();
+    cfg.detector.offset = Volt::new(-0.0185);
+    let evaluated = differential(cfg, 12.0).expect("kernel == oracle");
+    assert_eq!(evaluated % 4096, 0);
+}
+
+#[test]
+fn signed_zero_fields_agree() {
+    for cfg in [paper_grid(), {
+        let mut c = paper_grid();
+        c.sensor = FluxgateParams::adapted_hysteretic(0.1);
+        c
+    }] {
+        let plus = differential(cfg.clone(), 0.0).expect("kernel == oracle at +0");
+        let minus = differential(cfg, -0.0).expect("kernel == oracle at −0");
+        assert_eq!(plus, minus);
+    }
+}

@@ -136,6 +136,47 @@ impl CoreModel {
         }
     }
 
+    /// The coercive field `H_c` the hysteretic branches are shifted by
+    /// (zero for the anhysteretic model): [`mu_diff`](Self::mu_diff)
+    /// evaluates its sech² peak at the branch argument `h ∓ H_c`.
+    pub fn coercive_field(&self) -> AmperePerMeter {
+        match *self {
+            CoreModel::Anhysteretic { .. } => AmperePerMeter::ZERO,
+            CoreModel::Hysteretic { hc, .. } => hc,
+        }
+    }
+
+    /// A conservative radius around the permeability peak outside which
+    /// the *computed* `mu_diff` stays at or below `cap` (H/m).
+    ///
+    /// Returns `Some(r)` such that, for every branch argument `a` (the
+    /// field after the ±`H_c` shift, exactly as `mu_diff` forms it) with
+    /// `|a| ≥ r`, the floating-point `mu_diff` is `≤ cap`. `Some(-∞)`
+    /// means every argument qualifies; `None` means none is guaranteed to
+    /// (`cap` is not above the µ₀ floor of deep saturation). NaN inputs
+    /// yield a NaN radius, which no comparison satisfies.
+    ///
+    /// `mu_diff = (B_sat/H_K)·sech²(a/H_K) + µ₀`, and sech² falls
+    /// strictly with `|a|`, so the radius is the closed-form inverse
+    /// `H_K·acosh(1/√s)` at the sech² level `s` the cap allows. Each step
+    /// of that inverse, and of `mu_diff` itself, is within a few ulps;
+    /// a relative margin of 10⁻⁶ at every step dwarfs those errors, so
+    /// the bound holds for the rounded values, not only the exact ones.
+    pub fn mu_diff_radius(&self, cap: f64) -> Option<f64> {
+        const MARGIN: f64 = 1e-6;
+        let (bsat, hk) = (self.bsat().value(), self.hk().value());
+        let sech2_cap = (cap * (1.0 - MARGIN) - MU_0) / (bsat / hk) * (1.0 - MARGIN);
+        if sech2_cap <= 0.0 {
+            return None;
+        }
+        if sech2_cap >= 1.0 {
+            // sech² ≤ 1 everywhere (the computed cosh never drops below 1).
+            return Some(f64::NEG_INFINITY);
+        }
+        let cosh_floor = (1.0 / sech2_cap).sqrt() * (1.0 + MARGIN);
+        Some(cosh_floor.acosh() * (1.0 + MARGIN) * hk * (1.0 + MARGIN))
+    }
+
     /// Relative differential permeability `µ_r = (dB/dH)/µ₀` at `h`.
     pub fn mu_r(&self, h: AmperePerMeter, sweep: Sweep) -> f64 {
         self.mu_diff(h, sweep) / MU_0

@@ -157,7 +157,7 @@ pub fn sample_at_clock(detector: &[bool], window_seconds: f64, clock: Hertz) -> 
 
 /// The precomputed zero-order-hold resampling of [`sample_at_clock`]:
 /// how many master-clock edges land on each analogue grid sample of the
-/// measurement window.
+/// measurement window, stored cumulatively.
 ///
 /// The edge→sample mapping depends only on the grid size, the window
 /// length and the clock — not on the detector data — so a design
@@ -165,10 +165,17 @@ pub fn sample_at_clock(detector: &[bool], window_seconds: f64, clock: Hertz) -> 
 /// [`UpDownCounter::clock_n`]. Because the mapping is monotone
 /// nondecreasing in edge index, applying the edges grouped per sample in
 /// sample order is exactly the per-edge [`UpDownCounter::run`] over
-/// [`sample_at_clock`]'s stream — including counter saturation.
+/// [`sample_at_clock`]'s stream — including counter saturation. The same
+/// holds for any grouping into runs of constant detector level
+/// ([`edges_between`](Self::edges_between)): a saturating add of `a + b`
+/// in one direction lands where a saturating add of `a` then `b` does.
+///
+/// Entry `i` holds the edges on samples `0..=i`, as `u32` with wrapping
+/// arithmetic: differences are exact while the window holds fewer than
+/// 2³² edges (over 1,000 s at the paper's clock).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClockSchedule {
-    edges_per_sample: Vec<u32>,
+    cumulative: Vec<u32>,
     total_edges: usize,
 }
 
@@ -180,33 +187,55 @@ impl ClockSchedule {
     pub fn new(n_samples: usize, window_seconds: f64, clock: Hertz) -> Self {
         if n_samples == 0 || window_seconds <= 0.0 {
             return Self {
-                edges_per_sample: Vec::new(),
+                cumulative: Vec::new(),
                 total_edges: 0,
             };
         }
         let edges = (window_seconds * clock.value()) as usize;
-        let mut edges_per_sample = vec![0u32; n_samples];
+        let mut cumulative = vec![0u32; n_samples];
+        let mut filled = 0;
         // Mirror sample_at_clock's mapping expression exactly so the
         // fast path quantises like the traced path, bit for bit.
         for e in 0..edges {
             let t = e as f64 / clock.value();
-            let idx = ((t / window_seconds) * n_samples as f64) as usize;
-            edges_per_sample[idx.min(n_samples - 1)] += 1;
+            let idx = (((t / window_seconds) * n_samples as f64) as usize).min(n_samples - 1);
+            // Edge `e` lands on `idx` and indices never decrease, so every
+            // sample before `idx` has seen all its edges: `e` of them.
+            if filled < idx {
+                cumulative[filled..idx].fill(e as u32);
+                filled = idx;
+            }
         }
+        cumulative[filled..].fill(edges as u32);
         Self {
-            edges_per_sample,
+            cumulative,
             total_edges: edges,
         }
     }
 
     /// Master-clock edges landing on analogue sample `index`.
     pub fn edges_at(&self, index: usize) -> u32 {
-        self.edges_per_sample[index]
+        let before = index.checked_sub(1).map_or(0, |i| self.cumulative[i]);
+        self.cumulative[index].wrapping_sub(before)
+    }
+
+    /// Master-clock edges landing on analogue samples `start..end`
+    /// (zero for an empty range).
+    pub fn edges_between(&self, start: usize, end: usize) -> u32 {
+        if end <= start {
+            return 0;
+        }
+        let before = if start == 0 {
+            0
+        } else {
+            self.cumulative[start - 1]
+        };
+        self.cumulative[end - 1].wrapping_sub(before)
     }
 
     /// Number of analogue grid samples covered.
     pub fn samples(&self) -> usize {
-        self.edges_per_sample.len()
+        self.cumulative.len()
     }
 
     /// Total master-clock edges in the window.
@@ -517,6 +546,80 @@ mod tests {
         per_edge.run(sample_at_clock(&[true], window, clock));
         assert_eq!(grouped.value(), per_edge.value());
         assert_eq!(grouped.value(), 127);
+    }
+
+    /// Random segmentations of a detector stream into constant-level
+    /// runs, each taken with one `clock_n(level, edges_between(..))`,
+    /// match the per-edge walk over `sample_at_clock` — including a
+    /// 4-bit counter that rails mid-window in both directions.
+    #[test]
+    fn run_segmentations_match_the_per_edge_walk() {
+        let window = 2.0 / 8_000.0;
+        let clock = Hertz::new(4_194_304.0);
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut next = move |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        for case in 0..200 {
+            let n = [16, 100, 1000, 4096][case % 4];
+            let schedule = ClockSchedule::new(n, window, clock);
+            // A stream of random-length constant stretches.
+            let mut detector = Vec::with_capacity(n);
+            while detector.len() < n {
+                let level = next(2) == 0;
+                let len = (1 + next(n / 4)).min(n - detector.len());
+                detector.extend(std::iter::repeat_n(level, len));
+            }
+            for width in [4, 16] {
+                let mut reference = UpDownCounter::new(width);
+                reference.run(sample_at_clock(&detector, window, clock));
+                // Cut the stream at random points (runs may split a
+                // constant stretch; they never straddle a level change).
+                let mut runs = UpDownCounter::new(width);
+                let mut start = 0;
+                while start < n {
+                    let mut end = start + 1;
+                    while end < n && detector[end] == detector[start] && next(8) != 0 {
+                        end += 1;
+                    }
+                    runs.clock_n(detector[start], schedule.edges_between(start, end));
+                    start = end;
+                }
+                assert_eq!(
+                    runs.value(),
+                    reference.value(),
+                    "case {case}, width {width}"
+                );
+            }
+        }
+        // The 4-bit counter really did rail on some stream.
+        let schedule = ClockSchedule::new(64, window, clock);
+        let mut narrow = UpDownCounter::new(4);
+        narrow.clock_n(true, schedule.edges_between(0, 32));
+        assert_eq!(narrow.value(), 7);
+        narrow.clock_n(false, schedule.edges_between(32, 64));
+        assert_eq!(narrow.value(), -8);
+    }
+
+    #[test]
+    fn edges_between_sums_edges_at() {
+        let schedule = ClockSchedule::new(1000, 1e-3, Hertz::new(4_194_304.0));
+        let mut sum = 0u32;
+        for end in 0..=1000 {
+            assert_eq!(schedule.edges_between(0, end), sum);
+            if end < 1000 {
+                sum += schedule.edges_at(end);
+            }
+        }
+        assert_eq!(
+            schedule.edges_between(0, 1000) as usize,
+            schedule.total_edges()
+        );
+        assert_eq!(schedule.edges_between(500, 500), 0);
+        assert_eq!(schedule.edges_between(600, 500), 0);
     }
 
     #[test]
