@@ -5,33 +5,38 @@
 //! readout chain of Fig. 1's analogue section, and runs it over a
 //! configurable number of excitation periods.
 //!
-//! There are **two measurement tiers**, both fed from the same
-//! precomputed [`ExcitationTable`] (built once per channel — the drive
-//! chain is periodic and field-independent):
+//! The analogue grid is stepped sample by sample in exactly one place,
+//! a private walk generic over a small probe trait, all fed from the
+//! same precomputed [`ExcitationTable`] (built once per channel — the
+//! drive chain is periodic and field-independent). Its three probes
+//! give the three per-sample entry points:
 //!
-//! * [`FrontEnd::measure`] — the **duty-only fast path**: tallies the
-//!   detector output inline (duty, clipping, pulse edges) with zero
-//!   per-sample allocation. This is what every heading fix, sweep and
-//!   Monte-Carlo trial runs.
-//! * [`FrontEnd::run`] — the **traced diagnostic path**: additionally
+//! * [`FrontEnd::measure_into`] — no probe: the per-sample oracle,
+//!   tallying the detector output inline with zero per-sample
+//!   allocation;
+//! * [`FrontEnd::measure_runs`] with active faults — the fault probe,
+//!   applying one fix's `FixFaults` in physical order;
+//! * [`FrontEnd::run`] — the trace probe: the diagnostic path that also
 //!   records the full `i_exc`/`v_exc`/`v_pickup`/`detector` waveform set
 //!   for the Fig. 3 / Fig. 4 reproductions and the spectrum tests.
 //!
-//! The two tiers consume identical drive values and step the noise
-//! generator and detector in the same order, so their duty cycles (and
-//! everything downstream — counts, headings) agree **bit for bit**; the
-//! determinism suite enforces this.
+//! [`FrontEnd::measure_runs`] is the entry point every fix uses: a
+//! noiseless, fault-free channel runs the event-driven kernel of
+//! [`crate::kernel`] instead of the walk, with the same result bit for
+//! bit; the determinism suite and the kernel's differential tests
+//! enforce this.
 //!
 //! The closed-form expectation, derived in the [`detector`](crate::detector)
 //! docs, is `duty = 1/2 − H_ext/(2·H_peak)`; the simulation reproduces it
 //! including all modelled non-idealities (comparator thresholds, noise,
 //! clipping, hysteretic cores).
 
-use crate::detector::{duty_cycle, DetectorConfig, PulsePositionDetector};
-use crate::excitation::ExcitationTable;
+use crate::detector::{DetectorConfig, PulsePositionDetector};
+use crate::excitation::{DriveSample, ExcitationTable};
 use crate::kernel::{build_quiet_radii, Run, RunMeasurement, RunSink};
 use crate::oscillator::TriangleWave;
 use crate::vi_converter::ViConverter;
+use fluxcomp_faults::{BurstFault, FixFaults};
 use fluxcomp_fluxgate::noise::GaussianNoise;
 use fluxcomp_fluxgate::transducer::{Fluxgate, FluxgateParams};
 use fluxcomp_msim::time::SimTime;
@@ -356,126 +361,90 @@ impl FrontEnd {
     pub fn run_with_seed(&self, h_ext: AmperePerMeter, noise_seed: u64) -> FrontEndResult {
         let _run = fluxcomp_obs::span("afe.run");
         let cfg = &self.config;
-        let period = 1.0 / cfg.excitation.frequency().value();
         let n = cfg.samples_per_period;
-        let dt = period / n as f64;
-        let total_periods = cfg.settle_periods + cfg.measure_periods;
-        let total_samples = total_periods * n;
-
-        let mut detector = PulsePositionDetector::new(cfg.detector);
-        let mut noise = GaussianNoise::new(cfg.pickup_noise_rms, noise_seed);
-
         let mut traces = TraceSet::new();
-        let ch_i = traces.add_with_capacity("i_exc", total_samples);
-        let ch_ve = traces.add_with_capacity("v_exc", total_samples);
-        let ch_vp = traces.add_with_capacity("v_pickup", total_samples);
-        let ch_d = traces.add_with_capacity("detector", total_samples);
-
-        let mut detector_samples = Vec::with_capacity(cfg.measure_periods * n);
-        // Pulse edges are tallied locally — one counter update per run,
-        // not per analogue sample.
-        let mut pulse_edges = 0u64;
-        let mut prev_out = false;
-
-        for p in 0..total_periods {
-            for (j, drive) in self.table.samples().iter().enumerate() {
-                let k = p * n + j;
-                let sim_t = SimTime::from_seconds(Seconds::new(k as f64 * dt));
-
-                // Sensor: total field, pickup EMF, excitation-coil
-                // voltage. The drive terms come from the shared table.
-                let h = drive.h_drive + h_ext;
-                let mut v_pickup = self.sensor.pickup_emf(h, drive.dh_dt);
-                v_pickup += Volt::new(noise.sample());
-                let v_exc = self.sensor.excitation_voltage(drive.i, drive.di_dt, h_ext);
-
-                // Detector.
-                let out = detector.step(v_pickup);
-                pulse_edges += u64::from(out != prev_out);
-                prev_out = out;
-
-                traces.record(ch_i, sim_t, drive.i.value());
-                traces.record(ch_ve, sim_t, v_exc.value());
-                traces.record(ch_vp, sim_t, v_pickup.value());
-                traces.record(ch_d, sim_t, if out { 1.0 } else { 0.0 });
-
-                if p >= cfg.settle_periods {
-                    detector_samples.push(out);
-                }
-            }
-        }
-
-        let duty = duty_cycle(&detector_samples).unwrap_or(0.5);
-        // The drive is periodic, so "clipped anywhere in the run" is
-        // exactly "clipped anywhere in the table's single period".
-        let clipped = self.table.any_clips();
-        // The front-end drives its own analogue grid (it does not go
-        // through the msim engine), so it contributes its steps to the
-        // kernel-wide analogue step counter itself.
-        fluxcomp_obs::counter_add("msim.analog_steps", total_samples as u64);
-        fluxcomp_obs::counter_add("afe.runs", 1);
-        fluxcomp_obs::counter_add("afe.pulse_edges", pulse_edges);
-        fluxcomp_obs::counter_add("afe.clipped_runs", u64::from(clipped));
-        fluxcomp_obs::histogram_record("afe.duty", duty);
-        FrontEndResult {
-            duty,
-            detector_samples,
+        let channels = ["i_exc", "v_exc", "v_pickup", "detector"]
+            .map(|name| traces.add_with_capacity(name, self.grid_len()));
+        let mut probe = Trace {
+            sensor: &self.sensor,
+            h_ext,
+            dt: 1.0 / cfg.excitation.frequency().value() / n as f64,
             traces,
-            clipped,
+            channels,
+        };
+        let mut detector = PulsePositionDetector::new(cfg.detector);
+        let mut detector_samples = Vec::with_capacity(cfg.measure_periods * n);
+        let result = self
+            .walk(h_ext, noise_seed, &mut detector, &mut probe, |_, out| {
+                detector_samples.push(out);
+            })
+            .result;
+        fluxcomp_obs::counter_add("afe.runs", 1);
+        FrontEndResult {
+            duty: result.duty,
+            detector_samples,
+            traces: probe.traces,
+            clipped: result.clipped,
         }
     }
 
     /// Runs the duty-only fast measurement with external axial field
-    /// `h_ext`: same physics, same noise sequence and same detector
-    /// stepping as [`run`](Self::run), but the detector output is tallied
-    /// inline — no waveform capture, no per-sample allocation.
-    ///
-    /// The returned duty is bit-identical to the traced path's.
+    /// `h_ext` and the configured noise seed: same physics, same noise
+    /// sequence and same detector stepping as [`run`](Self::run), but no
+    /// waveform capture. The returned duty is bit-identical to the
+    /// traced path's.
     pub fn measure(&self, h_ext: AmperePerMeter) -> MeasureResult {
-        self.measure_with_seed(h_ext, self.config.noise_seed)
-    }
-
-    /// Like [`measure`](Self::measure), but with an explicit noise seed.
-    pub fn measure_with_seed(&self, h_ext: AmperePerMeter, noise_seed: u64) -> MeasureResult {
         let mut detector = PulsePositionDetector::new(self.config.detector);
-        self.measure_runs(h_ext, noise_seed, &mut detector, &mut Vec::new(), |_| {})
-            .result
+        self.measure_runs(
+            h_ext,
+            self.config.noise_seed,
+            &FixFaults::none(),
+            &mut detector,
+            &mut Vec::new(),
+            |_| {},
+        )
+        .result
     }
 
-    /// The run-length entry point every fix goes through: measures into
-    /// a caller-provided detector (reset on entry) and reports the
-    /// measurement-window detector output as maximal constant-level
-    /// [`Run`]s, in time order.
+    /// The entry point every fix goes through: measures under the
+    /// per-fix `faults` into a caller-provided detector (reset on entry)
+    /// and reports the measurement-window detector output as maximal
+    /// constant-level [`Run`]s, in time order.
     ///
-    /// A noiseless channel (`pickup_noise_rms == 0.0`) runs the
-    /// event-driven kernel of [`crate::kernel`], which evaluates only a
-    /// few percent of the grid; a noisy one runs the per-sample
-    /// [`measure_into`](Self::measure_into) and coalesces its samples.
-    /// Both return the per-sample result bit for bit. `period` is
-    /// scratch space for one period's runs, reused across calls.
+    /// A noiseless channel (`pickup_noise_rms == 0.0`) with no active
+    /// fault runs the event-driven kernel of [`crate::kernel`], which
+    /// evaluates only a few percent of the grid; every other fix walks
+    /// the grid sample by sample, with the faults applied in physical
+    /// order (dropout, H_K ramp, pickup gain, nominal noise, burst,
+    /// stuck output), and coalesces the samples into runs.
+    /// `period` is scratch space for one period's runs, reused across
+    /// calls.
     pub fn measure_runs(
         &self,
         h_ext: AmperePerMeter,
         noise_seed: u64,
+        faults: &FixFaults,
         detector: &mut PulsePositionDetector,
         period: &mut Vec<Run>,
         on_run: impl FnMut(Run),
     ) -> RunMeasurement {
-        if self.config.pickup_noise_rms == 0.0 {
+        if faults.is_none() && self.config.pickup_noise_rms == 0.0 {
             let _run = fluxcomp_obs::span("afe.measure");
             return self.measure_events(h_ext, detector, period, on_run);
         }
         let mut sink = RunSink::new(on_run);
-        let result = self.measure_into(h_ext, noise_seed, detector, |index, level| {
-            sink.push(index, 1, level);
-        });
+        let on_sample = |index, level| sink.push(index, 1, level);
+        let outcome = if faults.is_none() {
+            let _run = fluxcomp_obs::span("afe.measure");
+            self.walk(h_ext, noise_seed, detector, &mut Plain, on_sample)
+        } else {
+            let _run = fluxcomp_obs::span("faults.measure");
+            fluxcomp_obs::counter_add("faults.faulted_measures", 1);
+            let mut probe = Faulted::new(faults, self.grid_len());
+            self.walk(h_ext, noise_seed, detector, &mut probe, on_sample)
+        };
         sink.finish();
-        let cfg = &self.config;
-        RunMeasurement {
-            result,
-            evaluated_samples: ((cfg.settle_periods + cfg.measure_periods) * cfg.samples_per_period)
-                as u64,
-        }
+        outcome
     }
 
     /// The per-sample oracle: measures into a caller-provided detector
@@ -485,120 +454,39 @@ impl FrontEnd {
     /// it happens. Indices run `0..measure_periods·samples_per_period`
     /// in time order.
     ///
-    /// Noisy fixes run this loop through
-    /// [`measure_runs`](Self::measure_runs); noiseless ones take the
-    /// event-driven kernel, which this loop is the reference for.
+    /// This is the grid walk with no probe attached; the event-driven
+    /// kernel behind [`measure_runs`](Self::measure_runs) must reproduce
+    /// it bit for bit.
     pub fn measure_into(
         &self,
         h_ext: AmperePerMeter,
         noise_seed: u64,
         detector: &mut PulsePositionDetector,
-        mut on_sample: impl FnMut(usize, bool),
+        on_sample: impl FnMut(usize, bool),
     ) -> MeasureResult {
         let _run = fluxcomp_obs::span("afe.measure");
-        let cfg = &self.config;
-        debug_assert_eq!(
-            detector.config(),
-            &cfg.detector,
-            "scratch detector configured for a different channel"
-        );
-        detector.reset();
-        let mut noise = GaussianNoise::new(cfg.pickup_noise_rms, noise_seed);
-        let mut pulse_edges = 0u64;
-        let mut prev_out = false;
-
-        for _ in 0..cfg.settle_periods {
-            for drive in self.table.samples() {
-                let h = drive.h_drive + h_ext;
-                let mut v_pickup = self.sensor.pickup_emf(h, drive.dh_dt);
-                v_pickup += Volt::new(noise.sample());
-                let out = detector.step(v_pickup);
-                pulse_edges += u64::from(out != prev_out);
-                prev_out = out;
-            }
-        }
-
-        let mut high_samples = 0u64;
-        let mut index = 0usize;
-        for _ in 0..cfg.measure_periods {
-            for drive in self.table.samples() {
-                let h = drive.h_drive + h_ext;
-                let mut v_pickup = self.sensor.pickup_emf(h, drive.dh_dt);
-                v_pickup += Volt::new(noise.sample());
-                let out = detector.step(v_pickup);
-                pulse_edges += u64::from(out != prev_out);
-                prev_out = out;
-                high_samples += u64::from(out);
-                on_sample(index, out);
-                index += 1;
-            }
-        }
-
-        self.finish_measure(high_samples, index as u64, pulse_edges)
+        self.walk(h_ext, noise_seed, detector, &mut Plain, on_sample)
+            .result
     }
 
-    /// The tallies every measurement path ends with, plus their
-    /// observability counters. `msim.analog_steps` counts the logical
-    /// grid, however few samples a path actually evaluated.
-    pub(crate) fn finish_measure(
-        &self,
-        high_samples: u64,
-        measure_samples: u64,
-        pulse_edges: u64,
-    ) -> MeasureResult {
-        let cfg = &self.config;
-        // Same division as `duty_cycle(&detector_samples)` on the traced
-        // path: high/total as f64 — bit-identical by construction.
-        let duty = high_samples as f64 / measure_samples as f64;
-        let clipped = self.table.any_clips();
-        let total = (cfg.settle_periods + cfg.measure_periods) * cfg.samples_per_period;
-        fluxcomp_obs::counter_add("msim.analog_steps", total as u64);
-        fluxcomp_obs::counter_add("afe.measures", 1);
-        fluxcomp_obs::counter_add("afe.pulse_edges", pulse_edges);
-        fluxcomp_obs::counter_add("afe.clipped_runs", u64::from(clipped));
-        fluxcomp_obs::histogram_record("afe.duty", duty);
-        MeasureResult {
-            duty,
-            clipped,
-            pulse_edges,
-            high_samples,
-            measure_samples,
-        }
+    /// Grid samples in one run: settle plus measurement periods.
+    fn grid_len(&self) -> usize {
+        (self.config.settle_periods + self.config.measure_periods) * self.config.samples_per_period
     }
 
-    /// [`measure_into`](Self::measure_into) under injected faults.
-    ///
-    /// When `faults` [is none](fluxcomp_faults::FixFaults::is_none) this
-    /// **delegates** to the plain fast path — the no-fault bitstream is
-    /// untouched by construction, not by tolerance. When faults are
-    /// active, the same sample loop runs with the fault effects applied
-    /// in physical order:
-    ///
-    /// 1. excitation dropout zeroes the drive field over its window;
-    /// 2. the H_K drift ramp adds a linearly growing field offset;
-    /// 3. an open pickup scales the EMF by its residual gain;
-    /// 4. the nominal noise stream is added (always stepped, in the
-    ///    same order as the clean path, so a fault never perturbs any
-    ///    *other* fix's draw sequence);
-    /// 5. a noise burst adds draws from its own derived stream over its
-    ///    window;
-    /// 6. a stuck comparator overrides the detector output (the
-    ///    detector is still stepped — its internal state evolves as the
-    ///    real damaged circuit's would).
-    ///
-    /// Window fractions cover the full settle+measure run.
-    pub fn measure_into_faulted(
+    /// The one per-sample grid walk. Steps every settle and measurement
+    /// sample in time order: the probe's pickup EMF, the channel noise
+    /// (drawn once per sample, whatever the probe does), the probe's
+    /// post-noise term, the detector, the probe's view of its output.
+    /// Reports each measurement-window output to `on_sample(index, out)`.
+    fn walk<P: Probe>(
         &self,
         h_ext: AmperePerMeter,
         noise_seed: u64,
         detector: &mut PulsePositionDetector,
-        faults: &fluxcomp_faults::FixFaults,
+        probe: &mut P,
         mut on_sample: impl FnMut(usize, bool),
-    ) -> MeasureResult {
-        if faults.is_none() {
-            return self.measure_into(h_ext, noise_seed, detector, on_sample);
-        }
-        let _run = fluxcomp_obs::span("faults.measure");
+    ) -> RunMeasurement {
         let cfg = &self.config;
         debug_assert_eq!(
             detector.config(),
@@ -607,44 +495,19 @@ impl FrontEnd {
         );
         detector.reset();
         let mut noise = GaussianNoise::new(cfg.pickup_noise_rms, noise_seed);
-        let mut burst_noise = faults.burst.map(|b| GaussianNoise::new(b.rms, b.seed));
-        let total_samples =
-            ((cfg.settle_periods + cfg.measure_periods) * cfg.samples_per_period) as f64;
-        let inv_total = 1.0 / total_samples;
         let mut pulse_edges = 0u64;
         let mut prev_out = false;
         let mut high_samples = 0u64;
         let mut index = 0usize;
-        let mut global = 0usize;
-
+        let mut k = 0usize;
         for period in 0..cfg.settle_periods + cfg.measure_periods {
             let measuring = period >= cfg.settle_periods;
             for drive in self.table.samples() {
-                let frac = global as f64 * inv_total;
-                global += 1;
-                let dropped = faults
-                    .dropout
-                    .is_some_and(|(from, until)| frac >= from && frac < until);
-                let (h_drive, dh_dt) = if dropped {
-                    (AmperePerMeter::ZERO, 0.0)
-                } else {
-                    (drive.h_drive, drive.dh_dt)
-                };
-                let h = h_drive + h_ext + AmperePerMeter::new(faults.hk_ramp * frac);
-                let mut v_pickup = self.sensor.pickup_emf(h, dh_dt);
-                if faults.pickup_gain != 1.0 {
-                    v_pickup = Volt::new(v_pickup.value() * faults.pickup_gain);
-                }
+                let mut v_pickup = probe.pickup(&self.sensor, k, drive, h_ext);
                 v_pickup += Volt::new(noise.sample());
-                if let (Some(burst), Some(stream)) = (faults.burst, burst_noise.as_mut()) {
-                    if frac >= burst.from && frac < burst.until {
-                        v_pickup += Volt::new(stream.sample());
-                    }
-                }
-                let mut out = detector.step(v_pickup);
-                if let Some(stuck) = faults.stuck_output {
-                    out = stuck;
-                }
+                let v_pickup = probe.after_noise(v_pickup);
+                let out = probe.output(k, drive, v_pickup, detector.step(v_pickup));
+                k += 1;
                 pulse_edges += u64::from(out != prev_out);
                 prev_out = out;
                 if measuring {
@@ -654,9 +517,173 @@ impl FrontEnd {
                 }
             }
         }
+        self.finish_measure(high_samples, index as u64, pulse_edges, k as u64)
+    }
 
-        fluxcomp_obs::counter_add("faults.faulted_measures", 1);
-        self.finish_measure(high_samples, index as u64, pulse_edges)
+    /// The tallies every measurement path ends with, plus their
+    /// observability counters. `msim.analog_steps` counts the logical
+    /// grid, `afe.evaluated_samples` the samples whose pickup EMF the
+    /// path actually evaluated.
+    pub(crate) fn finish_measure(
+        &self,
+        high_samples: u64,
+        measure_samples: u64,
+        pulse_edges: u64,
+        evaluated_samples: u64,
+    ) -> RunMeasurement {
+        let duty = high_samples as f64 / measure_samples as f64;
+        let clipped = self.table.any_clips();
+        fluxcomp_obs::counter_add("msim.analog_steps", self.grid_len() as u64);
+        fluxcomp_obs::counter_add("afe.measures", 1);
+        fluxcomp_obs::counter_add("afe.evaluated_samples", evaluated_samples);
+        fluxcomp_obs::counter_add("afe.pulse_edges", pulse_edges);
+        fluxcomp_obs::counter_add("afe.clipped_runs", u64::from(clipped));
+        fluxcomp_obs::histogram_record("afe.duty", duty);
+        RunMeasurement {
+            result: MeasureResult {
+                duty,
+                clipped,
+                pulse_edges,
+                high_samples,
+                measure_samples,
+            },
+            evaluated_samples,
+        }
+    }
+}
+
+/// Per-sample hooks of [`FrontEnd::walk`]. Each impl gets its own
+/// monomorphised copy of the loop, so the defaults cost nothing.
+trait Probe {
+    /// The pickup EMF of global grid sample `k`, before the channel
+    /// noise.
+    #[inline]
+    fn pickup(
+        &mut self,
+        sensor: &Fluxgate,
+        _k: usize,
+        drive: &DriveSample,
+        h_ext: AmperePerMeter,
+    ) -> Volt {
+        sensor.pickup_emf(drive.h_drive + h_ext, drive.dh_dt)
+    }
+
+    /// The pickup voltage the detector reads, given the noisy EMF.
+    #[inline]
+    fn after_noise(&mut self, v_pickup: Volt) -> Volt {
+        v_pickup
+    }
+
+    /// The output the chain sees when the detector, fed `v_pickup` at
+    /// sample `k`, produced `out`.
+    #[inline]
+    fn output(&mut self, _k: usize, _drive: &DriveSample, _v_pickup: Volt, out: bool) -> bool {
+        out
+    }
+}
+
+/// No probe: the plain measurement.
+struct Plain;
+
+impl Probe for Plain {}
+
+/// Applies one fix's [`FixFaults`] in physical order:
+///
+/// 1. excitation dropout zeroes the drive field and slew over its
+///    window;
+/// 2. the H_K drift ramp adds a linearly growing field offset;
+/// 3. an open pickup scales the EMF by its residual gain;
+/// 4. (the walk adds the nominal noise, always drawn, so a fault never
+///    perturbs the draw sequence;)
+/// 5. a noise burst adds draws from its own stream over its window;
+/// 6. a stuck comparator overrides the detector output (the detector is
+///    still stepped, as the damaged circuit's would be).
+///
+/// Window fractions cover the full settle+measure run.
+struct Faulted<'a> {
+    faults: &'a FixFaults,
+    inv_total: f64,
+    burst: Option<(BurstFault, GaussianNoise)>,
+    /// Window fraction of the current sample.
+    frac: f64,
+}
+
+impl<'a> Faulted<'a> {
+    fn new(faults: &'a FixFaults, total_samples: usize) -> Self {
+        Self {
+            faults,
+            inv_total: 1.0 / total_samples as f64,
+            burst: faults.burst.map(|b| (b, GaussianNoise::new(b.rms, b.seed))),
+            frac: 0.0,
+        }
+    }
+}
+
+impl Probe for Faulted<'_> {
+    #[inline]
+    fn pickup(
+        &mut self,
+        sensor: &Fluxgate,
+        k: usize,
+        drive: &DriveSample,
+        h_ext: AmperePerMeter,
+    ) -> Volt {
+        let faults = self.faults;
+        let frac = k as f64 * self.inv_total;
+        self.frac = frac;
+        let dropped = faults
+            .dropout
+            .is_some_and(|(from, until)| frac >= from && frac < until);
+        let (h_drive, dh_dt) = if dropped {
+            (AmperePerMeter::ZERO, 0.0)
+        } else {
+            (drive.h_drive, drive.dh_dt)
+        };
+        let h = h_drive + h_ext + AmperePerMeter::new(faults.hk_ramp * frac);
+        // The nominal gain is 1.0, and `x * 1.0 == x` bit for bit.
+        Volt::new(sensor.pickup_emf(h, dh_dt).value() * faults.pickup_gain)
+    }
+
+    #[inline]
+    fn after_noise(&mut self, v_pickup: Volt) -> Volt {
+        match &mut self.burst {
+            Some((burst, stream)) if self.frac >= burst.from && self.frac < burst.until => {
+                v_pickup + Volt::new(stream.sample())
+            }
+            _ => v_pickup,
+        }
+    }
+
+    #[inline]
+    fn output(&mut self, _k: usize, _drive: &DriveSample, _v_pickup: Volt, out: bool) -> bool {
+        self.faults.stuck_output.unwrap_or(out)
+    }
+}
+
+/// Records the `i_exc`/`v_exc`/`v_pickup`/`detector` waveforms of a
+/// traced run.
+struct Trace<'a> {
+    sensor: &'a Fluxgate,
+    h_ext: AmperePerMeter,
+    /// Grid step in seconds.
+    dt: f64,
+    traces: TraceSet,
+    /// Trace indices of `i_exc`, `v_exc`, `v_pickup` and `detector`.
+    channels: [usize; 4],
+}
+
+impl Probe for Trace<'_> {
+    fn output(&mut self, k: usize, drive: &DriveSample, v_pickup: Volt, out: bool) -> bool {
+        let t = SimTime::from_seconds(Seconds::new(k as f64 * self.dt));
+        let v_exc = self
+            .sensor
+            .excitation_voltage(drive.i, drive.di_dt, self.h_ext);
+        let [ch_i, ch_ve, ch_vp, ch_d] = self.channels;
+        self.traces.record(ch_i, t, drive.i.value());
+        self.traces.record(ch_ve, t, v_exc.value());
+        self.traces.record(ch_vp, t, v_pickup.value());
+        self.traces.record(ch_d, t, if out { 1.0 } else { 0.0 });
+        out
     }
 }
 
@@ -673,6 +700,18 @@ mod tests {
 
     fn h_from_microtesla(ut: f64) -> AmperePerMeter {
         AmperePerMeter::new(ut * 1e-6 / MU_0)
+    }
+
+    /// One fix through `measure_runs` with a fresh detector.
+    fn measure_fix(
+        fe: &FrontEnd,
+        h: AmperePerMeter,
+        seed: u64,
+        faults: &FixFaults,
+    ) -> MeasureResult {
+        let mut detector = PulsePositionDetector::new(fe.config().detector);
+        fe.measure_runs(h, seed, faults, &mut detector, &mut Vec::new(), |_| {})
+            .result
     }
 
     #[test]
@@ -852,7 +891,7 @@ mod tests {
                 for ut in [-20.0, 0.0, 15.0] {
                     let h = h_from_microtesla(ut);
                     let traced = fe.run_with_seed(h, seed);
-                    let fast = fe.measure_with_seed(h, seed);
+                    let fast = measure_fix(&fe, h, seed, &FixFaults::none());
                     assert_eq!(
                         traced.duty.to_bits(),
                         fast.duty.to_bits(),
@@ -877,7 +916,8 @@ mod tests {
         let mut detector = PulsePositionDetector::new(fe.config().detector);
         let mut samples = Vec::new();
         let mut prev: Option<Run> = None;
-        let outcome = fe.measure_runs(h, 7, &mut detector, &mut Vec::new(), |run| {
+        let none = FixFaults::none();
+        let outcome = fe.measure_runs(h, 7, &none, &mut detector, &mut Vec::new(), |run| {
             assert_eq!(run.start, samples.len(), "runs tile the window in order");
             assert!(run.len > 0);
             if let Some(p) = prev {
@@ -936,7 +976,6 @@ mod tests {
         let grid = 9 * 4096;
         for h in [-60.0, 0.0, 12.0, 60.0] {
             let (_, outcome) = kernel_samples(&fe, AmperePerMeter::new(h));
-            eprintln!("EVAL {h} {}", outcome.evaluated_samples);
             assert!(
                 outcome.evaluated_samples * 10 <= grid,
                 "{h} A/m: {} of {grid} samples evaluated",
@@ -1040,25 +1079,39 @@ mod tests {
         assert_eq!(traced.value().to_bits(), fast.value().to_bits());
     }
 
+    /// The fault probe with every effect neutral (an injected fault
+    /// that changes nothing) walks the grid exactly as the plain loop
+    /// does: same noise draws, same field and EMF arithmetic.
     #[test]
-    fn faulted_path_with_no_faults_is_bit_identical_to_fast_path() {
-        let fe = FrontEnd::default();
-        let none = fluxcomp_faults::FixFaults::none();
+    fn neutral_fault_probe_matches_the_plain_loop() {
+        let mut cfg = FrontEndConfig::paper_design();
+        cfg.pickup_noise_rms = 2e-3;
+        cfg.detector.hysteresis = fluxcomp_units::Volt::new(0.016);
+        let fe = FrontEnd::new(cfg).expect("valid config");
+        let neutral = FixFaults {
+            injected: 1,
+            ..FixFaults::none()
+        };
         for ut in [-20.0, 0.0, 15.0] {
             let h = h_from_microtesla(ut);
             for seed in [1u64, 0x5EED] {
                 let mut detector = PulsePositionDetector::new(fe.config().detector);
-                let mut clean_samples = Vec::new();
-                let clean = fe.measure_into(h, seed, &mut detector, |_, out| {
-                    clean_samples.push(out);
+                let mut plain_samples = Vec::new();
+                let plain = fe.measure_into(h, seed, &mut detector, |_, out| {
+                    plain_samples.push(out);
                 });
                 let mut faulted_samples = Vec::new();
-                let faulted = fe.measure_into_faulted(h, seed, &mut detector, &none, |_, out| {
-                    faulted_samples.push(out);
-                });
-                assert_eq!(clean.duty.to_bits(), faulted.duty.to_bits(), "{ut} µT");
-                assert_eq!(clean, faulted);
-                assert_eq!(clean_samples, faulted_samples);
+                let faulted =
+                    fe.measure_runs(h, seed, &neutral, &mut detector, &mut Vec::new(), |run| {
+                        faulted_samples.extend(std::iter::repeat_n(run.level, run.len));
+                    });
+                assert_eq!(
+                    plain.duty.to_bits(),
+                    faulted.result.duty.to_bits(),
+                    "{ut} µT"
+                );
+                assert_eq!(plain, faulted.result);
+                assert_eq!(plain_samples, faulted_samples);
             }
         }
     }
@@ -1066,12 +1119,10 @@ mod tests {
     #[test]
     fn open_pickup_collapses_duty_and_edges() {
         let fe = FrontEnd::default();
-        let mut faults = fluxcomp_faults::FixFaults::none();
+        let mut faults = FixFaults::none();
         faults.pickup_gain = fluxcomp_faults::OPEN_PICKUP_GAIN;
         faults.injected = 1;
-        let mut detector = PulsePositionDetector::new(fe.config().detector);
-        let h = h_from_microtesla(15.0);
-        let r = fe.measure_into_faulted(h, 1, &mut detector, &faults, |_, _| {});
+        let r = measure_fix(&fe, h_from_microtesla(15.0), 1, &faults);
         // µV-scale EMF never crosses the comparator threshold: the
         // detector output is flat and the duty is pinned at an
         // implausible extreme (0 or 1 depending on idle polarity).
@@ -1082,29 +1133,27 @@ mod tests {
     #[test]
     fn stuck_comparator_pins_duty_and_is_deterministic() {
         let fe = FrontEnd::default();
-        let mut faults = fluxcomp_faults::FixFaults::none();
+        let mut faults = FixFaults::none();
         faults.stuck_output = Some(true);
         faults.injected = 1;
-        let mut detector = PulsePositionDetector::new(fe.config().detector);
         let h = h_from_microtesla(15.0);
-        let a = fe.measure_into_faulted(h, 9, &mut detector, &faults, |_, _| {});
+        let a = measure_fix(&fe, h, 9, &faults);
         assert_eq!(a.duty, 1.0);
         // One edge at most: the idle-low → welded-high transition.
         assert!(a.pulse_edges <= 1, "edges {}", a.pulse_edges);
-        let b = fe.measure_into_faulted(h, 9, &mut detector, &faults, |_, _| {});
+        let b = measure_fix(&fe, h, 9, &faults);
         assert_eq!(a, b, "faulted measurement must be reproducible");
     }
 
     #[test]
     fn hk_ramp_shifts_duty_beyond_clean_value() {
         let fe = FrontEnd::default();
-        let mut faults = fluxcomp_faults::FixFaults::none();
+        let mut faults = FixFaults::none();
         faults.hk_ramp = 60.0; // a quarter of H_peak by window end
         faults.injected = 1;
-        let mut detector = PulsePositionDetector::new(fe.config().detector);
         let h = h_from_microtesla(15.0);
-        let clean = fe.measure_with_seed(h, 3);
-        let drifted = fe.measure_into_faulted(h, 3, &mut detector, &faults, |_, _| {});
+        let clean = measure_fix(&fe, h, 3, &FixFaults::none());
+        let drifted = measure_fix(&fe, h, 3, &faults);
         // duty = 1/2 − H/(2·H_peak): a positive field offset pushes the
         // duty further down than the clean measurement.
         assert!(

@@ -277,11 +277,6 @@ impl FrontEnd {
         sink.finish();
 
         let measure_samples = (cfg.measure_periods * n) as u64;
-        let result = self.finish_measure(high_samples, measure_samples, pulse_edges);
-        fluxcomp_obs::counter_add("afe.evaluated_samples", evaluated);
-        RunMeasurement {
-            result,
-            evaluated_samples: evaluated,
-        }
+        self.finish_measure(high_samples, measure_samples, pulse_edges, evaluated)
     }
 }

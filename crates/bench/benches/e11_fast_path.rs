@@ -16,6 +16,7 @@ use fluxcomp_bench::{banner, write_bench_json};
 use fluxcomp_compass::evaluate::{sweep_headings, sweep_headings_traced};
 use fluxcomp_compass::{CompassConfig, CompassDesign, MeasureScratch};
 use fluxcomp_exec::ExecPolicy;
+use fluxcomp_faults::FixFaults;
 use fluxcomp_rtl::counter::{ClockSchedule, UpDownCounter};
 use fluxcomp_units::Degrees;
 use std::hint::black_box;
@@ -104,13 +105,14 @@ fn print_experiment() -> std::io::Result<()> {
     // Share of the grid the kernel actually evaluates, over the sweep.
     let grid =
         ((fe_cfg.settle_periods + fe_cfg.measure_periods) * fe_cfg.samples_per_period) as f64;
+    let none = FixFaults::none();
     let evaluated: u64 = (0..headings)
         .flat_map(|k| {
             let (hx, hy) = design.axial_fields(Degrees::new(k as f64));
             [hx, hy]
         })
         .map(|h| {
-            fe.measure_runs(h, seed, &mut detector, &mut Vec::new(), |_| {})
+            fe.measure_runs(h, seed, &none, &mut detector, &mut Vec::new(), |_| {})
                 .evaluated_samples
         })
         .sum();
@@ -166,7 +168,10 @@ fn bench(c: &mut Criterion) {
         b.iter(|| black_box(design.measure_heading_traced(black_box(truth), seed)))
     });
     group.bench_function("fix_fast_fresh", |b| {
-        b.iter(|| black_box(design.measure_heading_seeded(black_box(truth), seed)))
+        b.iter(|| {
+            let mut scratch = MeasureScratch::for_design(&design);
+            black_box(design.measure_heading_scratch(black_box(truth), seed, &mut scratch))
+        })
     });
     let mut scratch = MeasureScratch::for_design(&design);
     group.bench_function("fix_fast_scratch", |b| {

@@ -12,7 +12,7 @@ use fluxcomp_compass::filter::{circular_std, HeadingSmoother};
 use fluxcomp_compass::tilt::{
     body_field, tilt_compensated_heading, two_axis_heading, worst_tilt_error, Attitude,
 };
-use fluxcomp_compass::{CompassConfig, CompassDesign};
+use fluxcomp_compass::{CompassConfig, CompassDesign, MeasureScratch};
 use fluxcomp_exec::{derive_seed, ExecPolicy};
 use fluxcomp_fluxgate::earth::{EarthField, Location};
 use fluxcomp_units::angle::Degrees;
@@ -57,10 +57,11 @@ fn print_experiment() {
     let mut raw_fixes = Vec::new();
     let mut smoother = HeadingSmoother::new(0.25);
     let mut smoothed_tail = Vec::new();
+    let mut scratch = MeasureScratch::for_design(&design);
     for k in 0..60u64 {
         // A fresh noise realisation per fix, deterministically derived.
         let fix = design
-            .measure_heading_seeded(truth, derive_seed(base_seed, k))
+            .measure_heading_scratch(truth, derive_seed(base_seed, k), &mut scratch)
             .heading;
         raw_fixes.push(fix);
         let s = smoother.update(fix);

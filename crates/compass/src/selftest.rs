@@ -57,7 +57,7 @@ pub fn run_self_test(config: &CompassConfig, test_offset: Ampere) -> SelfTestRep
         let mut scratch = MeasureScratch::for_design(&design);
         let seed = design.config().frontend.noise_seed;
         design
-            .measure_axis_field_scratch(Axis::X, AmperePerMeter::ZERO, seed, &mut scratch)
+            .measure_axis_field_scratch(Axis::X, AmperePerMeter::ZERO, seed, &mut scratch, None)
             .count
     };
     let baseline_count = count_of(config.clone());

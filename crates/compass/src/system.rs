@@ -32,6 +32,7 @@ use crate::config::{BuildError, CompassConfig};
 use fluxcomp_afe::detector::PulsePositionDetector;
 use fluxcomp_afe::frontend::{FrontEnd, FrontEndResult};
 use fluxcomp_afe::kernel::Run;
+use fluxcomp_faults::{FaultPlan, FixFaults};
 use fluxcomp_fluxgate::pair::{Axis, SensorPair};
 use fluxcomp_rtl::cordic::CordicArctan;
 use fluxcomp_rtl::counter::{sample_at_clock, ClockSchedule, UpDownCounter};
@@ -89,10 +90,10 @@ pub struct CompassDesign {
 /// the event-driven kernel's one-period run record.
 ///
 /// Build one per worker with [`MeasureScratch::for_design`] and pass it
-/// to [`CompassDesign::measure_axis_scratch`] /
-/// [`CompassDesign::measure_heading_scratch`]; results are bit-identical
-/// to the fresh-state entry points, so the sweep engine can keep a
-/// scratch alive across thousands of fixes without allocating.
+/// to the `*_scratch` and `*_checked` entry points of [`CompassDesign`];
+/// results are bit-identical to the fresh-state entry points, so the
+/// sweep engine can keep a scratch alive across thousands of fixes
+/// without allocating.
 #[derive(Debug, Clone)]
 pub struct MeasureScratch {
     detector: PulsePositionDetector,
@@ -153,154 +154,30 @@ impl CompassDesign {
         self.frontend.peak_excitation_field()
     }
 
-    /// Measures a single axis with the platform at `true_heading` on the
-    /// duty-only fast path. Noise (if configured) is seeded from the
-    /// configuration's `noise_seed`.
-    pub fn measure_axis(&self, axis: Axis, true_heading: Degrees) -> AxisMeasurement {
-        self.measure_axis_seeded(axis, true_heading, self.config.frontend.noise_seed)
-    }
-
-    /// Like [`measure_axis`](Self::measure_axis) with an explicit noise
-    /// seed — the entry point for repeat studies that need a different
-    /// noise realisation per fix while staying deterministic.
-    pub fn measure_axis_seeded(
-        &self,
-        axis: Axis,
-        true_heading: Degrees,
-        noise_seed: u64,
-    ) -> AxisMeasurement {
-        let mut scratch = MeasureScratch::for_design(self);
-        self.measure_axis_scratch(axis, true_heading, noise_seed, &mut scratch)
-    }
-
-    /// The allocation-free fast path: duty-only front-end measurement
-    /// fused with counter integration through a caller-owned
-    /// [`MeasureScratch`].
-    ///
-    /// The detector output arrives as constant-level runs from
-    /// [`FrontEnd::measure_runs`] (the event-driven kernel when the
-    /// channel is noiseless) and each run is clocked into the up/down
-    /// counter in one step through the precomputed [`ClockSchedule`] —
-    /// no waveform traces, no detector-sample buffer, no clock-domain
-    /// resampling pass. Output is bit-identical to
-    /// [`measure_axis_traced`](Self::measure_axis_traced).
-    pub fn measure_axis_scratch(
-        &self,
-        axis: Axis,
-        true_heading: Degrees,
-        noise_seed: u64,
-        scratch: &mut MeasureScratch,
-    ) -> AxisMeasurement {
-        let h_ext = self
-            .pair
-            .axial_field(axis, &self.config.field, true_heading);
-        self.measure_axis_field_scratch(axis, h_ext, noise_seed, scratch)
-    }
-
-    /// The fast path from an **explicit axial field** instead of a true
-    /// heading: what a networked client that already knows the field at
-    /// its own sensor sends to the fix service. Identical fusion of
-    /// excitation→detector→counter as
-    /// [`measure_axis_scratch`](Self::measure_axis_scratch), which is a
-    /// thin wrapper projecting the configured earth field first.
-    pub fn measure_axis_field_scratch(
-        &self,
-        axis: Axis,
-        h_ext: AmperePerMeter,
-        noise_seed: u64,
-        scratch: &mut MeasureScratch,
-    ) -> AxisMeasurement {
-        // One span covers the fused excitation→detector→counter pass;
-        // the traced tier keeps the three per-stage spans.
-        let _excitation = fluxcomp_obs::span("compass.stage.excitation");
-        let MeasureScratch {
-            detector,
-            counter,
-            period,
-        } = scratch;
-        counter.reset();
-        let schedule = &self.schedule;
-        let outcome = self
-            .frontend
-            .measure_runs(h_ext, noise_seed, detector, period, |run| {
-                counter.clock_n(
-                    run.level,
-                    schedule.edges_between(run.start, run.start + run.len),
-                );
-            })
-            .result;
-        AxisMeasurement {
-            axis,
-            duty: outcome.duty,
-            count: counter.value(),
-            clipped: outcome.clipped,
-        }
-    }
-
-    /// The diagnostic tier: full transient front-end run (all waveform
-    /// traces recorded) + clock-domain resampling + counter integration.
-    ///
-    /// Bit-identical duty/count/clipped to the fast path — enforced by
-    /// the workspace determinism suite — but allocates the complete
-    /// `i_exc`/`v_exc`/`v_pickup`/`detector` trace set per fix. Use it
-    /// when the waveforms matter (Fig. 3 / Fig. 4 regeneration, debug).
-    pub fn measure_axis_traced(
-        &self,
-        axis: Axis,
-        true_heading: Degrees,
-        noise_seed: u64,
-    ) -> AxisMeasurement {
-        let h_ext = self
-            .pair
-            .axial_field(axis, &self.config.field, true_heading);
-        let excitation = fluxcomp_obs::span("compass.stage.excitation");
-        let result: FrontEndResult = self.frontend.run_with_seed(h_ext, noise_seed);
-        drop(excitation);
-        let window = self.config.frontend.measure_periods as f64
-            / self.config.frontend.excitation.frequency().value();
-        let detector = fluxcomp_obs::span("compass.stage.detector");
-        let stream = sample_at_clock(&result.detector_samples, window, self.config.clock.master());
-        drop(detector);
-        let _counter_stage = fluxcomp_obs::span("compass.stage.counter");
-        let mut counter = UpDownCounter::paper_design();
-        let count = counter.run(stream);
-        AxisMeasurement {
-            axis,
-            duty: result.duty,
-            count,
-            clipped: result.clipped,
-        }
-    }
-
-    /// Runs one full fix with the platform at `true_heading`.
+    /// Runs one full fix with the platform at `true_heading`, noise
+    /// seeded from the configuration's `noise_seed`.
     ///
     /// The duty-cycle equation is `duty = 1/2 − H/(2·H_peak)`, so the
-    /// counter output is **−count ∝ H**; the sign flip below is the
-    /// "and vice versa" wiring the paper mentions for the detector
-    /// polarity.
+    /// counter output is **−count ∝ H**; the sign flip in the CORDIC fold
+    /// is the "and vice versa" wiring the paper mentions for the
+    /// detector polarity.
     pub fn measure_heading(&self, true_heading: Degrees) -> Reading {
-        self.measure_heading_seeded(true_heading, self.config.frontend.noise_seed)
-    }
-
-    /// Like [`measure_heading`](Self::measure_heading) with an explicit
-    /// noise seed applied to both axis measurements.
-    pub fn measure_heading_seeded(&self, true_heading: Degrees, noise_seed: u64) -> Reading {
         let mut scratch = MeasureScratch::for_design(self);
-        self.measure_heading_scratch(true_heading, noise_seed, &mut scratch)
+        let seed = self.config.frontend.noise_seed;
+        self.measure_heading_scratch(true_heading, seed, &mut scratch)
     }
 
-    /// One full fix on the fast path through a caller-owned scratch —
-    /// the sweep engine's per-worker entry point. Bit-identical to
-    /// [`measure_heading_seeded`](Self::measure_heading_seeded).
+    /// One full fix through a caller-owned scratch — the sweep engine's
+    /// per-worker entry point, allocation-free. Bit-identical to
+    /// [`measure_heading_traced`](Self::measure_heading_traced).
     pub fn measure_heading_scratch(
         &self,
         true_heading: Degrees,
         noise_seed: u64,
         scratch: &mut MeasureScratch,
     ) -> Reading {
-        let x = self.measure_axis_scratch(Axis::X, true_heading, noise_seed, scratch);
-        let y = self.measure_axis_scratch(Axis::Y, true_heading, noise_seed, scratch);
-        self.fold_heading(x, y)
+        let (hx, hy) = self.axial_fields(true_heading);
+        self.fix(hx, hy, noise_seed, scratch, None)
     }
 
     /// One full fix from an explicit field vector `(hx, hy)` — the two
@@ -318,17 +195,128 @@ impl CompassDesign {
         noise_seed: u64,
         scratch: &mut MeasureScratch,
     ) -> Reading {
-        let x = self.measure_axis_field_scratch(Axis::X, hx, noise_seed, scratch);
-        let y = self.measure_axis_field_scratch(Axis::Y, hy, noise_seed, scratch);
+        self.fix(hx, hy, noise_seed, scratch, None)
+    }
+
+    /// [`measure_heading_scratch`](Self::measure_heading_scratch) under
+    /// a [`FaultPlan`].
+    ///
+    /// Which faults strike is a pure function of `(plan, axis,
+    /// noise_seed)` — see the `fluxcomp-faults` determinism contract —
+    /// and an axis nothing strikes is measured exactly as on the clean
+    /// path, so a zero plan leaves the bitstream untouched.
+    pub fn measure_heading_scratch_faulted(
+        &self,
+        true_heading: Degrees,
+        noise_seed: u64,
+        scratch: &mut MeasureScratch,
+        plan: &FaultPlan,
+    ) -> Reading {
+        let (hx, hy) = self.axial_fields(true_heading);
+        self.fix(hx, hy, noise_seed, scratch, Some(plan))
+    }
+
+    /// The diagnostic tier: both axes through the full transient
+    /// front-end run (all waveform traces recorded), clock-domain
+    /// resampling and a fresh up/down counter, then the CORDIC fold.
+    ///
+    /// Bit-identical duty/count/clipped/heading to the fast path —
+    /// enforced by the workspace determinism suite — but allocates the
+    /// complete `i_exc`/`v_exc`/`v_pickup`/`detector` trace set per
+    /// axis. Use it when the waveforms matter (Fig. 3 / Fig. 4
+    /// regeneration, debug).
+    pub fn measure_heading_traced(&self, true_heading: Degrees, noise_seed: u64) -> Reading {
+        let (hx, hy) = self.axial_fields(true_heading);
+        let [x, y] = [(Axis::X, hx), (Axis::Y, hy)].map(|(axis, h_ext)| {
+            let (result, stream) = self.clocked_stream(h_ext, noise_seed);
+            let _counter_stage = fluxcomp_obs::span("compass.stage.counter");
+            AxisMeasurement {
+                axis,
+                duty: result.duty,
+                count: UpDownCounter::paper_design().run(stream),
+                clipped: result.clipped,
+            }
+        });
         self.fold_heading(x, y)
     }
 
-    /// One full fix on the diagnostic (traced) tier — both axes via
-    /// [`measure_axis_traced`](Self::measure_axis_traced).
-    pub fn measure_heading_traced(&self, true_heading: Degrees, noise_seed: u64) -> Reading {
-        let x = self.measure_axis_traced(Axis::X, true_heading, noise_seed);
-        let y = self.measure_axis_traced(Axis::Y, true_heading, noise_seed);
+    /// The traced front-end run at axial field `h_ext` and its detector
+    /// output resampled at the counter clock: the reference the fast
+    /// path's run-length counting must match, shared with the
+    /// gate-level compass.
+    pub(crate) fn clocked_stream(
+        &self,
+        h_ext: AmperePerMeter,
+        noise_seed: u64,
+    ) -> (FrontEndResult, Vec<bool>) {
+        let excitation = fluxcomp_obs::span("compass.stage.excitation");
+        let result = self.frontend.run_with_seed(h_ext, noise_seed);
+        drop(excitation);
+        let _detector = fluxcomp_obs::span("compass.stage.detector");
+        let window = self.config.frontend.measure_periods as f64
+            / self.config.frontend.excitation.frequency().value();
+        let stream = sample_at_clock(&result.detector_samples, window, self.config.clock.master());
+        (result, stream)
+    }
+
+    /// Both axes through
+    /// [`measure_axis_field_scratch`](Self::measure_axis_field_scratch),
+    /// then the CORDIC fold.
+    fn fix(
+        &self,
+        hx: AmperePerMeter,
+        hy: AmperePerMeter,
+        noise_seed: u64,
+        scratch: &mut MeasureScratch,
+        plan: Option<&FaultPlan>,
+    ) -> Reading {
+        let x = self.measure_axis_field_scratch(Axis::X, hx, noise_seed, scratch, plan);
+        let y = self.measure_axis_field_scratch(Axis::Y, hy, noise_seed, scratch, plan);
         self.fold_heading(x, y)
+    }
+
+    /// One axis at axial field `h_ext`: compiles the fault plan (if
+    /// any) for this axis and fix, measures through
+    /// [`FrontEnd::measure_runs`] and clocks each constant-level run
+    /// into the up/down counter in one step through the precomputed
+    /// [`ClockSchedule`] — no waveform traces, no detector-sample
+    /// buffer, no clock-domain resampling pass.
+    pub(crate) fn measure_axis_field_scratch(
+        &self,
+        axis: Axis,
+        h_ext: AmperePerMeter,
+        noise_seed: u64,
+        scratch: &mut MeasureScratch,
+        plan: Option<&FaultPlan>,
+    ) -> AxisMeasurement {
+        let faults = plan.map_or_else(FixFaults::none, |plan| {
+            plan.compile(fault_axis_index(axis), noise_seed)
+        });
+        // One span covers the fused excitation→detector→counter pass;
+        // the traced tier keeps the per-stage spans.
+        let _excitation = fluxcomp_obs::span("compass.stage.excitation");
+        let MeasureScratch {
+            detector,
+            counter,
+            period,
+        } = scratch;
+        counter.reset();
+        let schedule = &self.schedule;
+        let outcome = self
+            .frontend
+            .measure_runs(h_ext, noise_seed, &faults, detector, period, |run| {
+                counter.clock_n(
+                    run.level,
+                    schedule.edges_between(run.start, run.start + run.len),
+                );
+            })
+            .result;
+        AxisMeasurement {
+            axis,
+            duty: outcome.duty,
+            count: counter.value(),
+            clipped: outcome.clipped,
+        }
     }
 
     /// CORDIC + polarity fold shared by every fix entry point, so the
@@ -377,85 +365,6 @@ impl CompassDesign {
         self.schedule.total_edges() as i64
     }
 
-    /// [`measure_axis_field_scratch`](Self::measure_axis_field_scratch)
-    /// under a [`FaultPlan`](fluxcomp_faults::FaultPlan).
-    ///
-    /// Which faults strike is a pure function of `(plan, axis,
-    /// noise_seed)` — see the `fluxcomp-faults` determinism contract —
-    /// and when nothing strikes this delegates to the plain fast path,
-    /// so a zero plan leaves the bitstream untouched by construction.
-    pub fn measure_axis_field_scratch_faulted(
-        &self,
-        axis: Axis,
-        h_ext: AmperePerMeter,
-        noise_seed: u64,
-        scratch: &mut MeasureScratch,
-        plan: &fluxcomp_faults::FaultPlan,
-    ) -> AxisMeasurement {
-        let faults = plan.compile(fault_axis_index(axis), noise_seed);
-        if faults.is_none() {
-            return self.measure_axis_field_scratch(axis, h_ext, noise_seed, scratch);
-        }
-        let _excitation = fluxcomp_obs::span("compass.stage.excitation");
-        let MeasureScratch {
-            detector, counter, ..
-        } = scratch;
-        counter.reset();
-        let schedule = &self.schedule;
-        let outcome = self.frontend.measure_into_faulted(
-            h_ext,
-            noise_seed,
-            detector,
-            &faults,
-            |index, up| {
-                counter.clock_n(up, schedule.edges_at(index));
-            },
-        );
-        AxisMeasurement {
-            axis,
-            duty: outcome.duty,
-            count: counter.value(),
-            clipped: outcome.clipped,
-        }
-    }
-
-    /// [`measure_heading_scratch`](Self::measure_heading_scratch) under
-    /// a fault plan: both axes measured through
-    /// [`measure_axis_field_scratch_faulted`](Self::measure_axis_field_scratch_faulted),
-    /// then the shared CORDIC fold.
-    pub fn measure_heading_scratch_faulted(
-        &self,
-        true_heading: Degrees,
-        noise_seed: u64,
-        scratch: &mut MeasureScratch,
-        plan: &fluxcomp_faults::FaultPlan,
-    ) -> Reading {
-        let h_x = self
-            .pair
-            .axial_field(Axis::X, &self.config.field, true_heading);
-        let h_y = self
-            .pair
-            .axial_field(Axis::Y, &self.config.field, true_heading);
-        let x = self.measure_axis_field_scratch_faulted(Axis::X, h_x, noise_seed, scratch, plan);
-        let y = self.measure_axis_field_scratch_faulted(Axis::Y, h_y, noise_seed, scratch, plan);
-        self.fold_heading(x, y)
-    }
-
-    /// [`measure_field_scratch`](Self::measure_field_scratch) under a
-    /// fault plan.
-    pub fn measure_field_scratch_faulted(
-        &self,
-        hx: AmperePerMeter,
-        hy: AmperePerMeter,
-        noise_seed: u64,
-        scratch: &mut MeasureScratch,
-        plan: &fluxcomp_faults::FaultPlan,
-    ) -> Reading {
-        let x = self.measure_axis_field_scratch_faulted(Axis::X, hx, noise_seed, scratch, plan);
-        let y = self.measure_axis_field_scratch_faulted(Axis::Y, hy, noise_seed, scratch, plan);
-        self.fold_heading(x, y)
-    }
-
     /// One health-checked fix from a true heading: measure (under
     /// `plan`, if any), score both axes, and fold the result into a
     /// [`CheckedReading`](crate::degraded::CheckedReading) with a typed
@@ -467,14 +376,11 @@ impl CompassDesign {
         true_heading: Degrees,
         noise_seed: u64,
         scratch: &mut MeasureScratch,
-        plan: Option<&fluxcomp_faults::FaultPlan>,
+        plan: Option<&FaultPlan>,
         tracker: &mut crate::degraded::DegradedTracker,
     ) -> crate::degraded::CheckedReading {
-        let reading = match plan {
-            Some(p) => self.measure_heading_scratch_faulted(true_heading, noise_seed, scratch, p),
-            None => self.measure_heading_scratch(true_heading, noise_seed, scratch),
-        };
-        tracker.assess(reading)
+        let (hx, hy) = self.axial_fields(true_heading);
+        tracker.assess(self.fix(hx, hy, noise_seed, scratch, plan))
     }
 
     /// One health-checked fix from an explicit field vector — the serve
@@ -486,14 +392,10 @@ impl CompassDesign {
         hy: AmperePerMeter,
         noise_seed: u64,
         scratch: &mut MeasureScratch,
-        plan: Option<&fluxcomp_faults::FaultPlan>,
+        plan: Option<&FaultPlan>,
         tracker: &mut crate::degraded::DegradedTracker,
     ) -> crate::degraded::CheckedReading {
-        let reading = match plan {
-            Some(p) => self.measure_field_scratch_faulted(hx, hy, noise_seed, scratch, p),
-            None => self.measure_field_scratch(hx, hy, noise_seed, scratch),
-        };
-        tracker.assess(reading)
+        tracker.assess(self.fix(hx, hy, noise_seed, scratch, plan))
     }
 }
 
@@ -568,27 +470,18 @@ impl Compass {
         self.design.peak_excitation_field()
     }
 
-    /// Measures a single axis with the platform at `true_heading`:
-    /// transient front-end run + counter integration.
-    pub fn measure_axis(&mut self, axis: Axis, true_heading: Degrees) -> AxisMeasurement {
-        self.design.measure_axis(axis, true_heading)
-    }
-
     /// Runs one full multiplexed fix with the platform at `true_heading`
-    /// and latches the result onto the display.
+    /// — the design's [`measure_heading`](CompassDesign::measure_heading),
+    /// which is pure — walks the sequencer through both axes, the
+    /// CORDIC and the display phase, and latches the result onto the
+    /// display.
     pub fn measure_heading(&mut self, true_heading: Degrees) -> Reading {
         self.sequencer.start_fix();
-        let x = self.design.measure_axis(Axis::X, true_heading);
-        for _ in 0..self.sequencer.periods_per_axis() {
-            self.sequencer.advance();
-        }
-        let y = self.design.measure_axis(Axis::Y, true_heading);
-        for _ in 0..self.sequencer.periods_per_axis() {
+        let reading = self.design.measure_heading(true_heading);
+        for _ in 0..2 * self.sequencer.periods_per_axis() {
             self.sequencer.advance();
         }
         debug_assert_eq!(self.sequencer.state(), SequencerState::Compute);
-
-        let reading = self.design.fold_heading(x, y);
         let _display_stage = fluxcomp_obs::span("compass.stage.display");
         for _ in 0..8 {
             self.sequencer.advance();
@@ -662,7 +555,7 @@ mod tests {
         let seed = design.config().frontend.noise_seed;
         for deg in [0.0, 45.0, 123.0, 287.25, 359.0] {
             let truth = Degrees::new(deg);
-            let fast = design.measure_heading_seeded(truth, seed);
+            let fast = design.measure_heading(truth);
             let traced = design.measure_heading_traced(truth, seed);
             assert_eq!(
                 fast.heading.value().to_bits(),
@@ -685,7 +578,7 @@ mod tests {
         for deg in [10.0, 200.0, 355.5, 10.0] {
             let truth = Degrees::new(deg);
             let reused = design.measure_heading_scratch(truth, seed, &mut scratch);
-            let fresh = design.measure_heading_seeded(truth, seed);
+            let fresh = design.measure_heading(truth);
             assert_eq!(
                 reused.heading.value().to_bits(),
                 fresh.heading.value().to_bits(),

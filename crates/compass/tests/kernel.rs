@@ -8,6 +8,7 @@
 
 use fluxcomp_afe::detector::PulsePositionDetector;
 use fluxcomp_afe::frontend::{FrontEnd, FrontEndConfig, MeasureResult};
+use fluxcomp_faults::FixFaults;
 use fluxcomp_fluxgate::transducer::FluxgateParams;
 use fluxcomp_rtl::clock::ClockTree;
 use fluxcomp_rtl::counter::{ClockSchedule, UpDownCounter};
@@ -50,7 +51,8 @@ fn oracle(fe: &FrontEnd, schedule: &ClockSchedule, h: AmperePerMeter) -> Outcome
 fn kernel(fe: &FrontEnd, schedule: &ClockSchedule, h: AmperePerMeter) -> (Outcome, u64) {
     let mut detector = PulsePositionDetector::new(fe.config().detector);
     let mut counters = WIDTHS.map(UpDownCounter::new);
-    let outcome = fe.measure_runs(h, 1, &mut detector, &mut Vec::new(), |run| {
+    let none = FixFaults::none();
+    let outcome = fe.measure_runs(h, 1, &none, &mut detector, &mut Vec::new(), |run| {
         let edges = schedule.edges_between(run.start, run.start + run.len);
         for c in &mut counters {
             c.clock_n(run.level, edges);

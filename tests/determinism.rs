@@ -175,7 +175,8 @@ fn reused_scratch_is_bit_identical_across_100_fixes() {
         let truth = Degrees::new(k as f64 * 3.6);
         let seed = fluxcomp::exec::derive_seed(base, k);
         let reused = design.measure_heading_scratch(truth, seed, &mut scratch);
-        let fresh = design.measure_heading_seeded(truth, seed);
+        let fresh =
+            design.measure_heading_scratch(truth, seed, &mut MeasureScratch::for_design(&design));
         assert_eq!(
             reused.heading.value().to_bits(),
             fresh.heading.value().to_bits(),
