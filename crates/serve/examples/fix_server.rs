@@ -12,9 +12,8 @@
 //! ```
 //!
 //! Configuration comes from the environment (`FLUXCOMP_SERVE_WORKERS`,
-//! `FLUXCOMP_SERVE_QUEUE`, `FLUXCOMP_SERVE_BATCH`, `FLUXCOMP_SERVE_CACHE`,
-//! `FLUXCOMP_SERVE_CACHE_SHARDS`, and `FLUXCOMP_THREADS` for the auto
-//! worker count). Fault injection and degraded mode:
+//! `FLUXCOMP_SERVE_QUEUE`, `FLUXCOMP_SERVE_CACHE`, and
+//! `FLUXCOMP_THREADS` for the auto worker count). Fault injection and degraded mode:
 //! `FLUXCOMP_FAULT_PLAN` (e.g. `seed=7;open_pickup@x:0.2`) injects
 //! seeded sensor faults into every computed fix,
 //! `FLUXCOMP_SERVE_QUARANTINE_AFTER` / `..._QUARANTINE_BACKOFF_MS` tune
@@ -41,7 +40,7 @@ fn main() {
             // typed cause for the operator.
             eprintln!(
                 "fix_server: config rejected (wire status: {}): {error}",
-                Status::for_build_error(&error)
+                Status::InvalidConfig
             );
             std::process::exit(2);
         }

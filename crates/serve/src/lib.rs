@@ -10,7 +10,8 @@
 //!   (a full queue is an immediate typed `Overloaded`, never an
 //!   unbounded buffer);
 //! * [`cache`] — the sharded LRU fix cache deduplicating identical
-//!   `(field, seed)` fixes, keyed on exact float bit patterns;
+//!   `(field, seed)` fixes, keyed on exact float bit patterns (`-0.0`
+//!   folded onto `+0.0`);
 //! * [`server`] — [`FixServer`]: acceptor thread, per-connection
 //!   readers, and a worker pool where each worker owns one
 //!   `MeasureScratch` (zero allocation on the steady-state fix path)

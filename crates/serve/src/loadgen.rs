@@ -92,7 +92,7 @@ impl Default for LoadGenConfig {
 }
 
 /// Aggregated results of one load-generator run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LoadReport {
     /// Requests written to the sockets (retries included).
     pub sent: u64,
@@ -134,21 +134,22 @@ pub struct LoadReport {
     pub p99_ms: f64,
 }
 
-#[derive(Default)]
-struct ConnTally {
-    sent: u64,
-    completed: u64,
-    ok: u64,
-    cache_hits: u64,
-    quality_good: u64,
-    quality_degraded: u64,
-    unmeasurable: u64,
-    overloaded: u64,
-    deadline_exceeded: u64,
-    shutting_down: u64,
-    retries: u64,
-    protocol_errors: u64,
-    latencies_ms: Vec<f64>,
+impl LoadReport {
+    /// Adds one connection's response counters into the run's.
+    fn merge(&mut self, other: &Self) {
+        self.sent += other.sent;
+        self.completed += other.completed;
+        self.ok += other.ok;
+        self.cache_hits += other.cache_hits;
+        self.quality_good += other.quality_good;
+        self.quality_degraded += other.quality_degraded;
+        self.unmeasurable += other.unmeasurable;
+        self.overloaded += other.overloaded;
+        self.deadline_exceeded += other.deadline_exceeded;
+        self.shutting_down += other.shutting_down;
+        self.retries += other.retries;
+        self.protocol_errors += other.protocol_errors;
+    }
 }
 
 /// The fix request for global index `k` under `config`'s mix.
@@ -196,58 +197,26 @@ pub fn run(config: &LoadGenConfig) -> io::Result<LoadReport> {
             connection_run(&config, c, stream, start, &budget)
         }));
     }
-    let mut total = ConnTally::default();
+    let mut report = LoadReport::default();
+    let mut latencies_ms = Vec::new();
     for handle in handles {
-        let tally = handle.join().expect("loadgen connection thread panicked");
-        total.sent += tally.sent;
-        total.completed += tally.completed;
-        total.ok += tally.ok;
-        total.cache_hits += tally.cache_hits;
-        total.quality_good += tally.quality_good;
-        total.quality_degraded += tally.quality_degraded;
-        total.unmeasurable += tally.unmeasurable;
-        total.overloaded += tally.overloaded;
-        total.deadline_exceeded += tally.deadline_exceeded;
-        total.shutting_down += tally.shutting_down;
-        total.retries += tally.retries;
-        total.protocol_errors += tally.protocol_errors;
-        total.latencies_ms.extend_from_slice(&tally.latencies_ms);
+        let (tally, latencies) = handle.join().expect("loadgen connection thread panicked");
+        report.merge(&tally);
+        latencies_ms.extend_from_slice(&latencies);
     }
-    let elapsed = start.elapsed();
-    let (p50, p95, p99) = if total.latencies_ms.is_empty() {
-        (0.0, 0.0, 0.0)
-    } else {
-        let sorted = SortedSamples::new(&total.latencies_ms);
-        (
-            sorted.quantile(0.50),
-            sorted.quantile(0.95),
-            sorted.quantile(0.99),
-        )
-    };
-    Ok(LoadReport {
-        sent: total.sent,
-        completed: total.completed,
-        ok: total.ok,
-        cache_hits: total.cache_hits,
-        quality_good: total.quality_good,
-        quality_degraded: total.quality_degraded,
-        unmeasurable: total.unmeasurable,
-        overloaded: total.overloaded,
-        deadline_exceeded: total.deadline_exceeded,
-        shutting_down: total.shutting_down,
-        retries: total.retries,
-        protocol_errors: total.protocol_errors,
-        lost: total.sent.saturating_sub(total.completed),
-        elapsed,
-        fixes_per_s: if elapsed.as_secs_f64() > 0.0 {
-            total.ok as f64 / elapsed.as_secs_f64()
-        } else {
-            0.0
-        },
-        p50_ms: p50,
-        p95_ms: p95,
-        p99_ms: p99,
-    })
+    report.elapsed = start.elapsed();
+    report.lost = report.sent.saturating_sub(report.completed);
+    let secs = report.elapsed.as_secs_f64();
+    if secs > 0.0 {
+        report.fixes_per_s = report.ok as f64 / secs;
+    }
+    if !latencies_ms.is_empty() {
+        let sorted = SortedSamples::new(&latencies_ms);
+        report.p50_ms = sorted.quantile(0.50);
+        report.p95_ms = sorted.quantile(0.95);
+        report.p99_ms = sorted.quantile(0.99);
+    }
+    Ok(report)
 }
 
 /// The deterministic jittered backoff before retry attempt `attempt`
@@ -264,7 +233,7 @@ fn connection_run(
     stream: TcpStream,
     start: Instant,
     budget: &Arc<AtomicU64>,
-) -> ConnTally {
+) -> (LoadReport, Vec<f64>) {
     let connections = config.connections.max(1);
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
@@ -322,10 +291,10 @@ fn connection_run(
         k = conn_index + j * connections;
     }
     sender_done.store(true, Ordering::SeqCst);
-    let mut tally = receiver.join().expect("loadgen receiver thread panicked");
+    let (mut tally, latencies_ms) = receiver.join().expect("loadgen receiver thread panicked");
     tally.sent = sent.load(Ordering::SeqCst) as u64;
     tally.protocol_errors += send_errors;
-    tally
+    (tally, latencies_ms)
 }
 
 /// A retry scheduled for `due`; `attempt` is how many times the request
@@ -345,8 +314,9 @@ fn receive_loop(
     sender_done: &AtomicBool,
     writer: &Mutex<TcpStream>,
     budget: &AtomicU64,
-) -> ConnTally {
-    let mut tally = ConnTally::default();
+) -> (LoadReport, Vec<f64>) {
+    let mut tally = LoadReport::default();
+    let mut latencies_ms = Vec::new();
     let mut buf = Vec::new();
     let mut drain_start: Option<Instant> = None;
     // Attempts already made per request id (first send = attempt 1).
@@ -401,7 +371,7 @@ fn receive_loop(
                                 FixQuality::Degraded => tally.quality_degraded += 1,
                                 FixQuality::Invalid => {}
                             }
-                            tally.latencies_ms.push(at.elapsed().as_secs_f64() * 1e3);
+                            latencies_ms.push(at.elapsed().as_secs_f64() * 1e3);
                         }
                         (Status::Ok, None) => tally.protocol_errors += 1,
                         (Status::Unmeasurable, _) => tally.unmeasurable += 1,
@@ -438,14 +408,13 @@ fn receive_loop(
                     e.kind(),
                     io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
                 ) => {}
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(_) => {
                 tally.protocol_errors += 1;
                 break;
             }
         }
     }
-    tally
+    (tally, latencies_ms)
 }
 
 #[cfg(test)]

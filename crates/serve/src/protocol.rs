@@ -53,7 +53,7 @@
 //! [`ProtocolError::BadStatus`] instead of trusting a held heading it
 //! cannot know is held.
 
-use fluxcomp_compass::{BuildError, FixQuality};
+use fluxcomp_compass::FixQuality;
 use std::error::Error;
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -176,13 +176,6 @@ impl Status {
             6 => Status::Unmeasurable,
             other => return Err(ProtocolError::BadStatus { got: other }),
         })
-    }
-
-    /// The wire status a server should report when its compass
-    /// configuration fails to build. Every [`BuildError`] maps to
-    /// [`Status::InvalidConfig`]; the typed cause stays server-side.
-    pub fn for_build_error(_error: &BuildError) -> Self {
-        Status::InvalidConfig
     }
 }
 
@@ -567,20 +560,17 @@ pub enum ReadFrame {
 /// EOF exactly on a frame boundary yields [`ReadFrame::Eof`]; EOF in the
 /// middle of a frame is [`io::ErrorKind::UnexpectedEof`]. A length
 /// prefix above [`MAX_FRAME`] is [`io::ErrorKind::InvalidData`].
+///
+/// On a stream with a read timeout, a `WouldBlock`/`TimedOut` error is
+/// returned only while no byte of the frame has been consumed, so the
+/// caller can simply call again. Once the first byte has arrived the
+/// read keeps going through timeouts (and, always, `Interrupted`) until
+/// the frame is complete: a partial frame is never dropped. Use a
+/// blocking stream — on a non-blocking one the mid-frame retry spins.
 pub fn read_frame<R: Read>(r: &mut R, buf: &mut Vec<u8>) -> io::Result<ReadFrame> {
     let mut len_bytes = [0u8; 4];
-    let mut got = 0;
-    while got < 4 {
-        match r.read(&mut len_bytes[got..])? {
-            0 if got == 0 => return Ok(ReadFrame::Eof),
-            0 => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "eof inside frame length prefix",
-                ))
-            }
-            n => got += n,
-        }
+    if !fill(r, &mut len_bytes, true)? {
+        return Ok(ReadFrame::Eof);
     }
     let len = u32::from_le_bytes(len_bytes) as usize;
     if len > MAX_FRAME {
@@ -592,38 +582,17 @@ pub fn read_frame<R: Read>(r: &mut R, buf: &mut Vec<u8>) -> io::Result<ReadFrame
     if buf.len() < len {
         buf.resize(len, 0);
     }
-    r.read_exact(&mut buf[..len])?;
+    fill(r, &mut buf[..len], false)?;
     Ok(ReadFrame::Frame(len))
 }
 
-/// Outcome of a poll-aware frame read (see [`read_frame_poll`]).
-#[derive(Debug)]
-pub enum PollRead {
-    /// A complete payload of the given length is in the buffer.
-    Frame(usize),
-    /// The peer closed the stream cleanly (EOF on a frame boundary).
-    Eof,
-    /// `stop()` returned `true` while the read was blocked.
-    Stopped,
-}
-
-#[derive(PartialEq)]
-enum Fill {
-    Done,
-    Eof,
-    Stopped,
-}
-
-fn read_full<R: Read>(
-    r: &mut R,
-    buf: &mut [u8],
-    stop: &dyn Fn() -> bool,
-    eof_ok_at_start: bool,
-) -> io::Result<Fill> {
+/// Fills `dst` completely. `frame_start` marks the first bytes of a
+/// frame: only there may EOF (`Ok(false)`) or a timeout end the read.
+fn fill<R: Read>(r: &mut R, dst: &mut [u8], frame_start: bool) -> io::Result<bool> {
     let mut pos = 0;
-    while pos < buf.len() {
-        match r.read(&mut buf[pos..]) {
-            Ok(0) if pos == 0 && eof_ok_at_start => return Ok(Fill::Eof),
+    while pos < dst.len() {
+        match r.read(&mut dst[pos..]) {
+            Ok(0) if frame_start && pos == 0 => return Ok(false),
             Ok(0) => {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
@@ -631,54 +600,17 @@ fn read_full<R: Read>(
                 ))
             }
             Ok(n) => pos += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if stop() {
-                    return Ok(Fill::Stopped);
-                }
-            }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e)
+                if !(frame_start && pos == 0)
+                    && matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) => {}
             Err(e) => return Err(e),
         }
     }
-    Ok(Fill::Done)
-}
-
-/// [`read_frame`] for a stream with a read timeout: each time the read
-/// blocks past the timeout, `stop` is consulted — returning `true`
-/// abandons the read (and any partial frame) with [`PollRead::Stopped`].
-/// This is how server connection readers stay responsive to shutdown
-/// while parked on an idle socket.
-pub fn read_frame_poll<R: Read>(
-    r: &mut R,
-    buf: &mut Vec<u8>,
-    stop: &dyn Fn() -> bool,
-) -> io::Result<PollRead> {
-    let mut len_bytes = [0u8; 4];
-    match read_full(r, &mut len_bytes, stop, true)? {
-        Fill::Eof => return Ok(PollRead::Eof),
-        Fill::Stopped => return Ok(PollRead::Stopped),
-        Fill::Done => {}
-    }
-    let len = u32::from_le_bytes(len_bytes) as usize;
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            ProtocolError::FrameTooLarge { got: len },
-        ));
-    }
-    if buf.len() < len {
-        buf.resize(len, 0);
-    }
-    match read_full(r, &mut buf[..len], stop, false)? {
-        Fill::Done => Ok(PollRead::Frame(len)),
-        Fill::Stopped => Ok(PollRead::Stopped),
-        Fill::Eof => unreachable!("read_full only yields Eof when eof_ok_at_start"),
-    }
+    Ok(true)
 }
 
 #[cfg(test)]
@@ -913,6 +845,66 @@ mod tests {
         let mut buf = Vec::new();
         let err = read_frame(&mut cursor, &mut buf).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// A reader that replays scripted chunks and errors, then EOF.
+    struct Script(std::collections::VecDeque<Result<Vec<u8>, io::ErrorKind>>);
+
+    impl Read for Script {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            match self.0.pop_front() {
+                None => Ok(0),
+                Some(Err(kind)) => Err(kind.into()),
+                Some(Ok(mut bytes)) => {
+                    let n = bytes.len().min(out.len());
+                    out[..n].copy_from_slice(&bytes[..n]);
+                    if n < bytes.len() {
+                        self.0.push_front(Ok(bytes.split_off(n)));
+                    }
+                    Ok(n)
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn timeout_inside_a_frame_keeps_the_partial_frame() {
+        let frame = |id| {
+            let mut wire = Vec::new();
+            let response = FixResponse {
+                heading: 12.5,
+                count_x: -7,
+                ..FixResponse::failure(id, Status::Ok)
+            };
+            write_response(&mut wire, &response).unwrap();
+            (wire, response)
+        };
+        let (first, first_response) = frame(1);
+        let (second, second_response) = frame(2);
+        assert_eq!(first.len(), 56);
+        let mut script = Script(
+            [
+                Ok(first[..30].to_vec()),
+                Err(io::ErrorKind::WouldBlock),
+                Err(io::ErrorKind::Interrupted),
+                Ok(first[30..].to_vec()),
+                Err(io::ErrorKind::WouldBlock),
+                Ok(second),
+            ]
+            .into_iter()
+            .collect(),
+        );
+        let mut buf = Vec::new();
+        let mut next = |script: &mut Script| match read_frame(script, &mut buf) {
+            Ok(ReadFrame::Frame(len)) => Ok(Some(FixResponse::decode_payload(&buf[..len]))),
+            Ok(ReadFrame::Eof) => Ok(None),
+            Err(e) => Err(e.kind()),
+        };
+        assert_eq!(next(&mut script), Ok(Some(Ok(first_response))));
+        // A timeout on a frame boundary is reported and consumes nothing.
+        assert_eq!(next(&mut script), Err(io::ErrorKind::WouldBlock));
+        assert_eq!(next(&mut script), Ok(Some(Ok(second_response))));
+        assert_eq!(next(&mut script), Ok(None));
     }
 
     proptest! {

@@ -47,15 +47,18 @@
 //! ## Shutdown
 //!
 //! [`FixServer::shutdown`] is graceful and drains: the acceptor stops,
-//! readers stop picking up new frames (connection readers poll the
-//! shutdown flag between reads on a 50 ms socket timeout), the queue
-//! closes, and the workers finish every job already accepted — a
-//! request that was queued always gets its response.
+//! then every connection's read half is shut down. Readers block in
+//! plain reads with no timeout; `shutdown(Read)` wakes each one with
+//! EOF (or `UnexpectedEof` mid-frame), after any frames already
+//! buffered, and it exits without a `BadRequest`. The write half stays
+//! open, so the queue then closes and the workers finish every job
+//! already accepted — a request that was queued always gets its
+//! response.
 
 use crate::cache::{CachedFix, FixCache, FixKey};
 use crate::protocol::{
-    read_frame_poll, write_response_versioned, FieldSpec, FixRequest, FixResponse, PollRead,
-    Status, WIRE_VERSION,
+    read_frame, write_response_versioned, FieldSpec, FixRequest, FixResponse, ReadFrame, Status,
+    WIRE_VERSION,
 };
 use crate::queue::{BatchQueue, PushError};
 use fluxcomp_compass::{
@@ -67,14 +70,13 @@ use fluxcomp_obs as obs;
 use fluxcomp_units::angle::Degrees;
 use fluxcomp_units::magnetics::AmperePerMeter;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-/// How often blocked reads and the acceptor re-check the shutdown flag.
-const POLL_INTERVAL: Duration = Duration::from_millis(50);
+/// How often the idle acceptor re-checks the shutdown flag.
 const ACCEPT_IDLE: Duration = Duration::from_millis(5);
 /// Probe attempts per quarantine entry before provisional re-entry.
 const QUARANTINE_PROBES: u32 = 5;
@@ -173,9 +175,7 @@ impl ServeConfig {
     /// | `FLUXCOMP_SERVE_ADDR` | `addr` |
     /// | `FLUXCOMP_SERVE_WORKERS` | `workers` (0 = auto) |
     /// | `FLUXCOMP_SERVE_QUEUE` | `queue_capacity` |
-    /// | `FLUXCOMP_SERVE_BATCH` | `batch_max` |
     /// | `FLUXCOMP_SERVE_CACHE` | `cache_capacity` (0 disables) |
-    /// | `FLUXCOMP_SERVE_CACHE_SHARDS` | `cache_shards` |
     /// | `FLUXCOMP_FAULT_PLAN` | `fault_plan` (fault grammar) |
     /// | `FLUXCOMP_SERVE_QUARANTINE_AFTER` | `quarantine_after` (0 disables) |
     /// | `FLUXCOMP_SERVE_QUARANTINE_BACKOFF_MS` | `quarantine_backoff` |
@@ -217,10 +217,7 @@ impl ServeConfig {
             addr: std::env::var("FLUXCOMP_SERVE_ADDR").unwrap_or(d.addr),
             workers: num("FLUXCOMP_SERVE_WORKERS", d.workers),
             queue_capacity: num("FLUXCOMP_SERVE_QUEUE", d.queue_capacity).max(1),
-            batch_max: num("FLUXCOMP_SERVE_BATCH", d.batch_max).max(1),
             cache_capacity: num("FLUXCOMP_SERVE_CACHE", d.cache_capacity),
-            cache_shards: num("FLUXCOMP_SERVE_CACHE_SHARDS", d.cache_shards),
-            fix_delay: d.fix_delay,
             fault_plan,
             quarantine_after: num("FLUXCOMP_SERVE_QUARANTINE_AFTER", d.quarantine_after),
             quarantine_backoff: Duration::from_millis(num(
@@ -228,6 +225,7 @@ impl ServeConfig {
                 d.quarantine_backoff.as_millis() as usize,
             ) as u64),
             worker_fault,
+            ..d
         }
     }
 
@@ -239,11 +237,14 @@ impl ServeConfig {
     }
 }
 
-/// One connection's write half, shared between its reader (error
-/// responses) and every worker holding one of its jobs.
+/// One connection, shared between its reader (which reads it and sends
+/// error responses) and every worker holding one of its jobs. The
+/// socket closes when the last of them drops it.
 #[derive(Debug)]
 struct Conn {
-    writer: Mutex<TcpStream>,
+    stream: TcpStream,
+    /// Held while a response frame is written.
+    write_lock: Mutex<()>,
 }
 
 impl Conn {
@@ -252,8 +253,8 @@ impl Conn {
     /// request's wire version. A peer that hung up is counted, not
     /// propagated — the job is complete either way.
     fn send(&self, response: &FixResponse, version: u8) {
-        let mut writer = self.writer.lock().unwrap();
-        if write_response_versioned(&mut *writer, response, version).is_err() {
+        let _writing = self.write_lock.lock().unwrap();
+        if write_response_versioned(&mut &self.stream, response, version).is_err() {
             obs::counter_add("serve.write_errors", 1);
         } else {
             obs::counter_add("serve.responses", 1);
@@ -283,7 +284,9 @@ struct Shared {
     quarantine_after: usize,
     quarantine_backoff: Duration,
     worker_fault: Option<WorkerFault>,
-    readers: Mutex<Vec<JoinHandle<()>>>,
+    /// Each live reader's thread and a handle on its connection, so
+    /// shutdown can wake the reader by closing the read half.
+    readers: Mutex<Vec<(Weak<Conn>, JoinHandle<()>)>>,
 }
 
 /// The running fix server. Dropping it performs a graceful
@@ -357,7 +360,12 @@ impl FixServer {
             let _ = acceptor.join();
         }
         let readers = std::mem::take(&mut *self.shared.readers.lock().unwrap());
-        for reader in readers {
+        for (conn, _) in &readers {
+            if let Some(conn) = conn.upgrade() {
+                let _ = conn.stream.shutdown(Shutdown::Read);
+            }
+        }
+        for (_, reader) in readers {
             let _ = reader.join();
         }
         self.shared.queue.close();
@@ -402,29 +410,28 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
 
 fn spawn_reader(shared: &Arc<Shared>, stream: TcpStream) -> io::Result<()> {
     let _ = stream.set_nodelay(true);
-    // The read timeout is the reader's shutdown poll interval; accepted
-    // sockets are otherwise fully blocking.
     let _ = stream.set_nonblocking(false);
-    stream.set_read_timeout(Some(POLL_INTERVAL))?;
-    let reader_stream = stream.try_clone()?;
     let conn = Arc::new(Conn {
-        writer: Mutex::new(stream),
+        stream,
+        write_lock: Mutex::new(()),
     });
+    let weak = Arc::downgrade(&conn);
     let shared_for_thread = Arc::clone(shared);
     let handle = thread::Builder::new()
         .name("fix-reader".to_string())
-        .spawn(move || reader_loop(&shared_for_thread, &conn, reader_stream))?;
-    shared.readers.lock().unwrap().push(handle);
+        .spawn(move || reader_loop(&shared_for_thread, &conn))?;
+    let mut readers = shared.readers.lock().unwrap();
+    readers.retain(|(_, reader)| !reader.is_finished());
+    readers.push((weak, handle));
     Ok(())
 }
 
-fn reader_loop(shared: &Shared, conn: &Arc<Conn>, mut stream: TcpStream) {
+fn reader_loop(shared: &Shared, conn: &Arc<Conn>) {
     let _span = obs::span("serve.connection");
     let mut buf = Vec::new();
-    let stop = || shared.shutting_down.load(Ordering::SeqCst);
     loop {
-        match read_frame_poll(&mut stream, &mut buf, &stop) {
-            Ok(PollRead::Frame(len)) => match FixRequest::decode_versioned(&buf[..len]) {
+        match read_frame(&mut &conn.stream, &mut buf) {
+            Ok(ReadFrame::Frame(len)) => match FixRequest::decode_versioned(&buf[..len]) {
                 Ok((request, version)) => {
                     obs::counter_add("serve.requests", 1);
                     let job = Job {
@@ -458,7 +465,9 @@ fn reader_loop(shared: &Shared, conn: &Arc<Conn>, mut stream: TcpStream) {
                     return;
                 }
             },
-            Ok(PollRead::Eof) | Ok(PollRead::Stopped) => return,
+            Ok(ReadFrame::Eof) => return,
+            // Woken mid-frame by shutdown: not the client's fault.
+            Err(_) if shared.shutting_down.load(Ordering::SeqCst) => return,
             Err(_) => {
                 obs::counter_add("serve.bad_requests", 1);
                 conn.send(&FixResponse::failure(0, Status::BadRequest), WIRE_VERSION);
@@ -553,8 +562,10 @@ fn handle_job(shared: &Shared, state: &mut WorkerState, job: &Job) {
         if let Some(hit) = shared.cache.get(&key) {
             obs::counter_add("serve.cache_hits", 1);
             // Only Good fixes are ever inserted, so a hit is Good.
-            job.conn
-                .send(&response_for(request.id, &hit, true), job.version);
+            job.conn.send(
+                &fix_response(request.id, &hit, FixQuality::Good, true),
+                job.version,
+            );
             record_latency(job, FixQuality::Good);
             span.finish();
             return;
@@ -567,6 +578,7 @@ fn handle_job(shared: &Shared, state: &mut WorkerState, job: &Job) {
     let checked = measure_checked(shared, state, request);
     state.computed += 1;
     let quality = checked.quality;
+    let fix = cached_fix(&checked);
     match quality {
         FixQuality::Good => {
             obs::counter_add("serve.fix_good", 1);
@@ -574,7 +586,7 @@ fn handle_job(shared: &Shared, state: &mut WorkerState, job: &Job) {
             if !request.no_cache {
                 // Degraded/Invalid headings depend on this worker's
                 // hold-last state; only pure Good fixes are shareable.
-                shared.cache.insert(key, cached_fix(&checked));
+                shared.cache.insert(key, fix);
             }
         }
         FixQuality::Degraded => {
@@ -587,7 +599,7 @@ fn handle_job(shared: &Shared, state: &mut WorkerState, job: &Job) {
         }
     }
     job.conn
-        .send(&checked_response(request.id, &checked), job.version);
+        .send(&fix_response(request.id, &fix, quality, false), job.version);
     record_latency(job, quality);
     span.finish();
     if shared.quarantine_after > 0 && state.consecutive_bad >= shared.quarantine_after {
@@ -696,11 +708,18 @@ fn cached_fix(checked: &CheckedReading) -> CachedFix {
     }
 }
 
-fn response_for(id: u64, fix: &CachedFix, cache_hit: bool) -> FixResponse {
+/// The wire response for a fix. `Invalid` fixes answer
+/// [`Status::Unmeasurable`] but still carry the held heading and the raw
+/// duty/count evidence, so a client can apply its own policy to the
+/// stale value.
+fn fix_response(id: u64, fix: &CachedFix, quality: FixQuality, cache_hit: bool) -> FixResponse {
     FixResponse {
         id,
-        status: Status::Ok,
-        quality: FixQuality::Good,
+        status: match quality {
+            FixQuality::Invalid => Status::Unmeasurable,
+            _ => Status::Ok,
+        },
+        quality,
         cache_hit,
         clipped: fix.clipped,
         heading: fix.heading,
@@ -708,29 +727,6 @@ fn response_for(id: u64, fix: &CachedFix, cache_hit: bool) -> FixResponse {
         duty_y: fix.duty_y,
         count_x: fix.count_x,
         count_y: fix.count_y,
-    }
-}
-
-/// The wire response for a freshly computed health-checked fix.
-/// `Invalid` fixes answer [`Status::Unmeasurable`] but still carry the
-/// held heading and the raw duty/count evidence, so a client can apply
-/// its own policy to the stale value.
-fn checked_response(id: u64, checked: &CheckedReading) -> FixResponse {
-    let reading = &checked.reading;
-    FixResponse {
-        id,
-        status: match checked.quality {
-            FixQuality::Invalid => Status::Unmeasurable,
-            _ => Status::Ok,
-        },
-        quality: checked.quality,
-        cache_hit: false,
-        clipped: reading.x.clipped || reading.y.clipped,
-        heading: reading.heading.value(),
-        duty_x: reading.x.duty,
-        duty_y: reading.y.duty,
-        count_x: reading.x.count,
-        count_y: reading.y.count,
     }
 }
 

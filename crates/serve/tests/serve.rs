@@ -271,6 +271,54 @@ fn graceful_shutdown_answers_every_queued_request() {
 }
 
 #[test]
+fn shutdown_wakes_idle_and_stalled_readers_and_answers_queued_requests() {
+    let mut server = FixServer::start(
+        design(),
+        ServeConfig {
+            workers: 1,
+            cache_capacity: 0,
+            fix_delay: Duration::from_millis(100),
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let mut idle = connect(&server);
+    let mut stalled = connect(&server);
+    stalled.write_all(&[52, 0]).unwrap();
+    // Two fixes: one occupies the single worker, one waits in the queue.
+    let mut busy = connect(&server);
+    for id in 0..2u64 {
+        write_request(
+            &mut busy,
+            &FixRequest {
+                id,
+                seed: id,
+                deadline_ms: 0,
+                no_cache: true,
+                field: FieldSpec::HeadingTruth(90.0),
+            },
+        )
+        .unwrap();
+    }
+    // The pause only makes it likely that the readers are already
+    // blocked; frames still buffered at shutdown are read and answered.
+    std::thread::sleep(Duration::from_millis(50));
+    let started = std::time::Instant::now();
+    server.shutdown();
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
+    for id in 0..2u64 {
+        let response = read_one(&mut busy);
+        assert_eq!((response.id, response.status), (id, Status::Ok));
+    }
+    // The idle and stalled connections are closed without a response.
+    let mut buf = Vec::new();
+    for stream in [&mut idle, &mut stalled] {
+        assert!(matches!(read_frame(stream, &mut buf), Ok(ReadFrame::Eof)));
+    }
+}
+
+#[test]
 fn loadgen_round_trip_with_cache_hits() {
     let mut server = FixServer::start(design(), test_config()).unwrap();
     let report = loadgen::run(&LoadGenConfig {
