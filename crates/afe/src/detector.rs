@@ -24,6 +24,16 @@
 use crate::comparator::Comparator;
 use fluxcomp_units::si::{Seconds, Volt};
 
+/// [`PulsePositionDetector::dynamic_state`] bits of both comparators
+/// and their edge memories.
+pub(crate) const COMPARATOR_BITS: u8 = 0b1111;
+/// Comparator bits with only the positive comparator (and its edge
+/// memory) high.
+pub(crate) const POSITIVE_HIGH: u8 = 0b0101;
+/// Comparator bits with only the negative comparator (and its edge
+/// memory) high.
+pub(crate) const NEGATIVE_HIGH: u8 = 0b1010;
+
 /// Configuration of the detector's two comparators.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DetectorConfig {
@@ -100,6 +110,19 @@ impl PulsePositionDetector {
     /// The current latched output.
     pub fn output(&self) -> bool {
         self.output
+    }
+
+    /// The detector's dynamic state in five bits: the positive and
+    /// negative comparators (bits 0 and 1), their edge memories (bits 2
+    /// and 3) and the latched output (bit 4). Two detectors with the same
+    /// configuration and the same dynamic state respond identically to
+    /// any input.
+    pub(crate) fn dynamic_state(&self) -> u8 {
+        u8::from(self.positive.output())
+            | u8::from(self.negative.output()) << 1
+            | u8::from(self.prev_positive) << 2
+            | u8::from(self.prev_negative) << 3
+            | u8::from(self.output) << 4
     }
 
     /// Resets all internal state.

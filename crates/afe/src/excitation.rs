@@ -17,10 +17,11 @@
 //! the same order, and only differ in what they *record*.
 //!
 //! The table also summarises each fixed block of [`BLOCK_LEN`] samples
-//! as a [`DriveBlock`]: the drive-field range and the largest slew rate
-//! in the block. Like the samples, these bounds do not depend on the
-//! external field; the event-driven kernel turns them into per-block
-//! quiet radii once per front-end (see [`crate::kernel`]).
+//! as a [`DriveBlock`]: the drive-field range, the smallest and largest
+//! slew rate and the slew's sign in the block. Like the samples, these
+//! bounds do not depend on the external field; the event-driven kernel
+//! turns them into per-block hold radii once per front-end (see
+//! [`crate::kernel`]).
 
 use crate::oscillator::TriangleWave;
 use crate::vi_converter::ViConverter;
@@ -59,6 +60,13 @@ pub struct DriveBlock {
     /// Largest `|dh_dt|` in the block, A/m/s; NaN if any drive value in
     /// the block is not finite, so that no bound built on it can hold.
     pub max_dh_dt: f64,
+    /// Smallest `|dh_dt|` in the block, A/m/s; NaN under the same
+    /// condition as `max_dh_dt`.
+    pub min_dh_dt: f64,
+    /// The sign every `dh_dt` in the block shares: `1` if all are `> 0`,
+    /// `-1` if all are `< 0`, `0` otherwise (a zero, a sign change or a
+    /// non-finite drive value).
+    pub slew_sign: i8,
 }
 
 impl DriveBlock {
@@ -66,6 +74,8 @@ impl DriveBlock {
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
         let mut max_dh_dt = 0.0_f64;
+        let mut min_dh_dt = f64::INFINITY;
+        let (mut rising, mut falling) = (true, true);
         let mut finite = true;
         for s in samples {
             let h = s.h_drive.value();
@@ -73,11 +83,21 @@ impl DriveBlock {
             lo = lo.min(h);
             hi = hi.max(h);
             max_dh_dt = max_dh_dt.max(s.dh_dt.abs());
+            min_dh_dt = min_dh_dt.min(s.dh_dt.abs());
+            rising &= s.dh_dt > 0.0;
+            falling &= s.dh_dt < 0.0;
         }
+        let slew_sign = match (finite, rising, falling) {
+            (true, true, _) => 1,
+            (true, _, true) => -1,
+            _ => 0,
+        };
         Self {
             h_lo: AmperePerMeter::new(lo),
             h_hi: AmperePerMeter::new(hi),
             max_dh_dt: if finite { max_dh_dt } else { f64::NAN },
+            min_dh_dt: if finite { min_dh_dt } else { f64::NAN },
+            slew_sign,
         }
     }
 }
@@ -242,11 +262,26 @@ mod tests {
             let chunk = &table.samples()[b * BLOCK_LEN..((b + 1) * BLOCK_LEN).min(1000)];
             for drive in chunk {
                 assert!(block.h_lo <= drive.h_drive && drive.h_drive <= block.h_hi);
+                assert!(block.min_dh_dt <= drive.dh_dt.abs());
                 assert!(drive.dh_dt.abs() <= block.max_dh_dt);
             }
             assert!(chunk.iter().any(|d| d.h_drive == block.h_lo));
             assert!(chunk.iter().any(|d| d.h_drive == block.h_hi));
             assert!(chunk.iter().any(|d| d.dh_dt.abs() == block.max_dh_dt));
+            assert!(chunk.iter().any(|d| d.dh_dt.abs() == block.min_dh_dt));
+            let strict = |sign: f64| chunk.iter().all(|d| d.dh_dt * sign > 0.0);
+            let expected = if strict(1.0) {
+                1
+            } else if strict(-1.0) {
+                -1
+            } else {
+                0
+            };
+            assert_eq!(block.slew_sign, expected, "block {b}");
+        }
+        // Rising and falling sweeps, and the turning points between them.
+        for sign in [1, -1, 0] {
+            assert!(table.blocks().iter().any(|block| block.slew_sign == sign));
         }
     }
 }

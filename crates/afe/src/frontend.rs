@@ -33,7 +33,7 @@
 
 use crate::detector::{DetectorConfig, PulsePositionDetector};
 use crate::excitation::{DriveSample, ExcitationTable};
-use crate::kernel::{build_quiet_radii, Run, RunMeasurement, RunSink};
+use crate::kernel::{build_hold_radii, BlockHold, KernelScratch, Run, RunMeasurement, RunSink};
 use crate::oscillator::TriangleWave;
 use crate::vi_converter::ViConverter;
 use fluxcomp_faults::{BurstFault, FixFaults};
@@ -276,9 +276,9 @@ pub struct FrontEnd {
     config: FrontEndConfig,
     sensor: Fluxgate,
     table: ExcitationTable,
-    /// Per-block quiet radii of the event-driven kernel
+    /// Per-block hold radii of the event-driven kernel
     /// ([`crate::kernel`]), derived once from the table.
-    quiet: Vec<Option<f64>>,
+    holds: Vec<BlockHold>,
 }
 
 impl FrontEnd {
@@ -299,12 +299,12 @@ impl FrontEnd {
             &sensor,
             config.samples_per_period,
         );
-        let quiet = build_quiet_radii(&table, &sensor, &config.detector);
+        let holds = build_hold_radii(&table, &sensor, &config.detector);
         Ok(Self {
             config,
             sensor,
             table,
-            quiet,
+            holds,
         })
     }
 
@@ -323,10 +323,10 @@ impl FrontEnd {
         &self.table
     }
 
-    /// The quiet radius of each excitation-table block (`None`: never
-    /// quiet); see [`crate::kernel`].
-    pub(crate) fn quiet_radii(&self) -> &[Option<f64>] {
-        &self.quiet
+    /// The hold radii of each excitation-table block; see
+    /// [`crate::kernel`].
+    pub(crate) fn block_holds(&self) -> &[BlockHold] {
+        &self.holds
     }
 
     /// The peak excitation field the configured drive produces (after
@@ -400,7 +400,7 @@ impl FrontEnd {
             self.config.noise_seed,
             &FixFaults::none(),
             &mut detector,
-            &mut Vec::new(),
+            &mut KernelScratch::default(),
             |_| {},
         )
         .result
@@ -417,20 +417,20 @@ impl FrontEnd {
     /// the grid sample by sample, with the faults applied in physical
     /// order (dropout, H_K ramp, pickup gain, nominal noise, burst,
     /// stuck output), and coalesces the samples into runs.
-    /// `period` is scratch space for one period's runs, reused across
-    /// calls.
+    /// `kernel` holds the kernel's period records; reuse it across calls
+    /// so a fix allocates nothing.
     pub fn measure_runs(
         &self,
         h_ext: AmperePerMeter,
         noise_seed: u64,
         faults: &FixFaults,
         detector: &mut PulsePositionDetector,
-        period: &mut Vec<Run>,
+        kernel: &mut KernelScratch,
         on_run: impl FnMut(Run),
     ) -> RunMeasurement {
         if faults.is_none() && self.config.pickup_noise_rms == 0.0 {
             let _run = fluxcomp_obs::span("afe.measure");
-            return self.measure_events(h_ext, detector, period, on_run);
+            return self.measure_events(h_ext, detector, kernel, on_run);
         }
         let mut sink = RunSink::new(on_run);
         let on_sample = |index, level| sink.push(index, 1, level);
@@ -710,8 +710,15 @@ mod tests {
         faults: &FixFaults,
     ) -> MeasureResult {
         let mut detector = PulsePositionDetector::new(fe.config().detector);
-        fe.measure_runs(h, seed, faults, &mut detector, &mut Vec::new(), |_| {})
-            .result
+        fe.measure_runs(
+            h,
+            seed,
+            faults,
+            &mut detector,
+            &mut KernelScratch::default(),
+            |_| {},
+        )
+        .result
     }
 
     #[test]
@@ -917,15 +924,22 @@ mod tests {
         let mut samples = Vec::new();
         let mut prev: Option<Run> = None;
         let none = FixFaults::none();
-        let outcome = fe.measure_runs(h, 7, &none, &mut detector, &mut Vec::new(), |run| {
-            assert_eq!(run.start, samples.len(), "runs tile the window in order");
-            assert!(run.len > 0);
-            if let Some(p) = prev {
-                assert_ne!(p.level, run.level, "runs are maximal");
-            }
-            prev = Some(run);
-            samples.extend(std::iter::repeat_n(run.level, run.len));
-        });
+        let outcome = fe.measure_runs(
+            h,
+            7,
+            &none,
+            &mut detector,
+            &mut KernelScratch::default(),
+            |run| {
+                assert_eq!(run.start, samples.len(), "runs tile the window in order");
+                assert!(run.len > 0);
+                if let Some(p) = prev {
+                    assert_ne!(p.level, run.level, "runs are maximal");
+                }
+                prev = Some(run);
+                samples.extend(std::iter::repeat_n(run.level, run.len));
+            },
+        );
         (samples, outcome)
     }
 
@@ -1101,10 +1115,16 @@ mod tests {
                     plain_samples.push(out);
                 });
                 let mut faulted_samples = Vec::new();
-                let faulted =
-                    fe.measure_runs(h, seed, &neutral, &mut detector, &mut Vec::new(), |run| {
+                let faulted = fe.measure_runs(
+                    h,
+                    seed,
+                    &neutral,
+                    &mut detector,
+                    &mut KernelScratch::default(),
+                    |run| {
                         faulted_samples.extend(std::iter::repeat_n(run.level, run.len));
-                    });
+                    },
+                );
                 assert_eq!(
                     plain.duty.to_bits(),
                     faulted.result.duty.to_bits(),

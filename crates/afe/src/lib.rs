@@ -16,7 +16,7 @@
 //!   oscillator→V-I chain is periodic and field-independent, so both
 //!   measurement tiers read it instead of re-evaluating per sample);
 //! * [`kernel`] — the event-driven noiseless measurement kernel (period
-//!   replication, quiet-block skipping, run-length output), bit-identical
+//!   convergence, hold-block skipping, run-length output), bit-identical
 //!   to the per-sample loop;
 //! * [`second_harmonic`] — the classical readout the paper argues
 //!   against, implemented as the baseline for experiment E8;
@@ -68,7 +68,7 @@ pub use excitation::{DriveBlock, DriveSample, ExcitationTable};
 pub use frontend::{
     DetectorParam, FrontEnd, FrontEndConfig, FrontEndError, FrontEndResult, MeasureResult,
 };
-pub use kernel::{Run, RunMeasurement};
+pub use kernel::{KernelScratch, Run, RunMeasurement};
 pub use mux::AnalogMux;
 pub use oscillator::{OffsetCorrection, RelaxationOscillator, TriangleWave};
 pub use power::{BlockCurrents, PowerModel, Schedule};

@@ -5,6 +5,7 @@
 
 use fluxcomp_afe::detector::PulsePositionDetector;
 use fluxcomp_afe::frontend::{FrontEnd, FrontEndConfig};
+use fluxcomp_afe::kernel::KernelScratch;
 use fluxcomp_faults::FixFaults;
 use fluxcomp_units::magnetics::AmperePerMeter;
 use fluxcomp_units::si::Volt;
@@ -31,7 +32,14 @@ fn evaluated_samples_counter_covers_every_path() {
     for (fe, faults) in [(&paper, &none), (&noisy, &none), (&paper, &ramp)] {
         let mut detector = PulsePositionDetector::new(fe.config().detector);
         returned += fe
-            .measure_runs(h, 7, faults, &mut detector, &mut Vec::new(), |_| {})
+            .measure_runs(
+                h,
+                7,
+                faults,
+                &mut detector,
+                &mut KernelScratch::default(),
+                |_| {},
+            )
             .evaluated_samples;
     }
     let profile = session.profile().expect("recorder installed");

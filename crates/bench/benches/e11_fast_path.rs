@@ -12,6 +12,7 @@
 use criterion::{criterion_group, Criterion};
 use fluxcomp_afe::detector::PulsePositionDetector;
 use fluxcomp_afe::frontend::FrontEnd;
+use fluxcomp_afe::kernel::KernelScratch;
 use fluxcomp_bench::{banner, write_bench_json};
 use fluxcomp_compass::evaluate::{sweep_headings, sweep_headings_traced};
 use fluxcomp_compass::{CompassConfig, CompassDesign, MeasureScratch};
@@ -112,8 +113,15 @@ fn print_experiment() -> std::io::Result<()> {
             [hx, hy]
         })
         .map(|h| {
-            fe.measure_runs(h, seed, &none, &mut detector, &mut Vec::new(), |_| {})
-                .evaluated_samples
+            fe.measure_runs(
+                h,
+                seed,
+                &none,
+                &mut detector,
+                &mut KernelScratch::default(),
+                |_| {},
+            )
+            .evaluated_samples
         })
         .sum();
     let evaluated_share = evaluated as f64 / (2.0 * headings as f64 * grid);

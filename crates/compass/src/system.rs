@@ -31,7 +31,7 @@
 use crate::config::{BuildError, CompassConfig};
 use fluxcomp_afe::detector::PulsePositionDetector;
 use fluxcomp_afe::frontend::{FrontEnd, FrontEndResult};
-use fluxcomp_afe::kernel::Run;
+use fluxcomp_afe::kernel::KernelScratch;
 use fluxcomp_faults::{FaultPlan, FixFaults};
 use fluxcomp_fluxgate::pair::{Axis, SensorPair};
 use fluxcomp_rtl::cordic::CordicArctan;
@@ -87,7 +87,8 @@ pub struct CompassDesign {
 
 /// Reusable per-worker state for the duty-only fast path: one detector,
 /// one up/down counter (both fully reset at the start of every fix) and
-/// the event-driven kernel's one-period run record.
+/// the event-driven kernel's period records (the current and the previous
+/// simulated period, cleared at the start of every fix).
 ///
 /// Build one per worker with [`MeasureScratch::for_design`] and pass it
 /// to the `*_scratch` and `*_checked` entry points of [`CompassDesign`];
@@ -98,7 +99,7 @@ pub struct CompassDesign {
 pub struct MeasureScratch {
     detector: PulsePositionDetector,
     counter: UpDownCounter,
-    period: Vec<Run>,
+    kernel: KernelScratch,
 }
 
 impl MeasureScratch {
@@ -108,7 +109,7 @@ impl MeasureScratch {
         Self {
             detector: PulsePositionDetector::new(design.config.frontend.detector),
             counter: UpDownCounter::paper_design(),
-            period: Vec::new(),
+            kernel: KernelScratch::default(),
         }
     }
 }
@@ -298,13 +299,13 @@ impl CompassDesign {
         let MeasureScratch {
             detector,
             counter,
-            period,
+            kernel,
         } = scratch;
         counter.reset();
         let schedule = &self.schedule;
         let outcome = self
             .frontend
-            .measure_runs(h_ext, noise_seed, &faults, detector, period, |run| {
+            .measure_runs(h_ext, noise_seed, &faults, detector, kernel, |run| {
                 counter.clock_n(
                     run.level,
                     schedule.edges_between(run.start, run.start + run.len),

@@ -177,6 +177,40 @@ impl CoreModel {
         Some(cosh_floor.acosh() * (1.0 + MARGIN) * hk * (1.0 + MARGIN))
     }
 
+    /// The mirror of [`mu_diff_radius`](Self::mu_diff_radius): a
+    /// conservative radius around the permeability peak inside which the
+    /// *computed* `mu_diff` stays at or above `floor` (H/m).
+    ///
+    /// Returns `Some(r)` such that, for every branch argument `a` with
+    /// `|a| ≤ r`, the floating-point `mu_diff` is `≥ floor`. `Some(+∞)`
+    /// means every argument qualifies (`floor` is at or below the µ₀ term,
+    /// which the computed `mu_diff` never drops under); `None` means none
+    /// is guaranteed to (`floor` is not below the sech² peak
+    /// `B_sat/H_K + µ₀`). NaN inputs yield a NaN radius, which no
+    /// comparison satisfies.
+    ///
+    /// The radius is `H_K·acosh(1/√s)` at the sech² level `s` the floor
+    /// needs, with the same relative margin of 10⁻⁶ as
+    /// [`mu_diff_radius`](Self::mu_diff_radius) at every step, each
+    /// applied in the direction that shrinks the radius.
+    pub fn mu_diff_floor_radius(&self, floor: f64) -> Option<f64> {
+        const MARGIN: f64 = 1e-6;
+        if floor <= MU_0 {
+            // sech² ≥ 0, so the rounded sum is never below µ₀.
+            return Some(f64::INFINITY);
+        }
+        let (bsat, hk) = (self.bsat().value(), self.hk().value());
+        let sech2_floor = (floor * (1.0 + MARGIN) - MU_0) / (bsat / hk) * (1.0 + MARGIN);
+        if sech2_floor >= 1.0 {
+            return None;
+        }
+        let cosh_ceiling = (1.0 / sech2_floor).sqrt() / (1.0 + MARGIN);
+        if cosh_ceiling < 1.0 {
+            return None;
+        }
+        Some(cosh_ceiling.acosh() / (1.0 + MARGIN) * hk / (1.0 + MARGIN))
+    }
+
     /// Relative differential permeability `µ_r = (dB/dH)/µ₀` at `h`.
     pub fn mu_r(&self, h: AmperePerMeter, sweep: Sweep) -> f64 {
         self.mu_diff(h, sweep) / MU_0

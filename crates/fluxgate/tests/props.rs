@@ -5,7 +5,7 @@ use fluxcomp_fluxgate::earth::{EarthField, MagneticDisturbance};
 use fluxcomp_fluxgate::jiles_atherton::{JaParams, JilesAthertonCore};
 use fluxcomp_fluxgate::pair::{SensorPair, SensorPairParams};
 use fluxcomp_fluxgate::transducer::{Fluxgate, FluxgateParams};
-use fluxcomp_units::magnetics::{AmperePerMeter, Tesla};
+use fluxcomp_units::magnetics::{AmperePerMeter, Tesla, MU_0};
 use fluxcomp_units::si::Ampere;
 use fluxcomp_units::Degrees;
 use proptest::prelude::*;
@@ -104,4 +104,64 @@ proptest! {
             prop_assert!(core.magnetization().value().abs() <= params.ms + 1e-9);
         }
     }
+
+    /// Within `mu_diff_floor_radius(floor)` of the peak the computed µ
+    /// never drops below `floor`: at ±r, at the next float inside ±r and
+    /// at interior points. The radius is also at least the exact inverse
+    /// at a floor 10⁻⁴ higher, so the margins do not make it useless.
+    #[test]
+    fn mu_diff_floor_radius_bounds_mu_from_below(
+        bsat in 0.05f64..2.0,
+        hk in 1.0f64..400.0,
+        level in 0.0f64..1.0,
+        inner in prop::collection::vec(0.0f64..1.0, 8),
+    ) {
+        let core = CoreModel::anhysteretic(Tesla::new(bsat), AmperePerMeter::new(hk));
+        let floor = MU_0 + level * (bsat / hk);
+        let mu = |a: f64| core.mu_diff(AmperePerMeter::new(a), Sweep::Up);
+        match core.mu_diff_floor_radius(floor) {
+            None => prop_assert!(level > 1.0 - 1e-5, "no radius at level {}", level),
+            Some(r) => {
+                prop_assert!((0.0..f64::INFINITY).contains(&r), "r = {}", r);
+                let sech2 = (floor * (1.0 + 1e-4) - MU_0) / (bsat / hk);
+                if sech2 < 1.0 {
+                    let exact = hk * (1.0 / sech2.sqrt()).acosh();
+                    prop_assert!(r >= exact, "r = {} vs exact {}", r, exact);
+                }
+                let mut points = vec![r, r.next_down().max(0.0)];
+                points.extend(inner.iter().map(|t| t * r));
+                for a in points {
+                    for a in [a, -a] {
+                        prop_assert!(mu(a) >= floor, "µ({}) = {} < {}", a, mu(a), floor);
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn mu_diff_floor_radius_edges() {
+    let core = CoreModel::anhysteretic(Tesla::new(0.5), AmperePerMeter::new(40.0));
+    let peak = core.mu_diff(AmperePerMeter::ZERO, Sweep::Up);
+    // At or below µ₀ every argument qualifies, even deep in saturation.
+    for floor in [MU_0, MU_0 * 0.5, 0.0, -1.0, f64::NEG_INFINITY] {
+        assert_eq!(core.mu_diff_floor_radius(floor), Some(f64::INFINITY));
+    }
+    for a in [1e3, 1e300, f64::INFINITY] {
+        assert!(core.mu_diff(AmperePerMeter::new(a), Sweep::Up) >= MU_0);
+    }
+    // At or above the sech² peak no argument is guaranteed to.
+    for floor in [peak, peak * 1.5, f64::INFINITY] {
+        assert_eq!(core.mu_diff_floor_radius(floor), None);
+    }
+    // Just below the peak the radius is small but real.
+    let r = core
+        .mu_diff_floor_radius(peak * (1.0 - 1e-3))
+        .expect("a radius");
+    assert!(r > 0.0 && r < 40.0, "r = {r}");
+    assert!(core
+        .mu_diff_floor_radius(f64::NAN)
+        .expect("NaN radius")
+        .is_nan());
 }

@@ -16,7 +16,7 @@ use fluxcomp::compass::{AccuracyStats, CompassConfig, CompassDesign, MeasureScra
 use fluxcomp::exec::ExecPolicy;
 use fluxcomp::fluxgate::earth::{EarthField, Location};
 use fluxcomp::msim::montecarlo::{run_monte_carlo, Tolerance};
-use fluxcomp::units::Degrees;
+use fluxcomp::units::{AmperePerMeter, Degrees};
 
 fn policies() -> Vec<ExecPolicy> {
     vec![
@@ -189,6 +189,43 @@ fn reused_scratch_is_bit_identical_across_100_fixes() {
             fresh.x.duty.to_bits(),
             "fix {k}: x duty differs"
         );
+    }
+}
+
+#[test]
+fn reused_scratch_carries_no_period_record_between_noiseless_fixes() {
+    // The noiseless kernel keeps the previous period's record in the
+    // scratch and stops a period at the first block whose detector state
+    // matches it. A pulse moves by one 32-sample block per ~3.75 A/m of
+    // axial field on the paper design, so these fields rejoin at
+    // different blocks; a record left over from the previous fix would
+    // splice the wrong runs into the next one.
+    let design = CompassDesign::new(CompassConfig::paper_design()).expect("valid design");
+    let fields = [
+        (-60.0, 45.0),
+        (52.0, -8.0),
+        (0.0, 0.0),
+        (-17.0, -55.0),
+        (33.0, 21.0),
+        (-0.0, 60.0),
+    ];
+    let mut scratch = MeasureScratch::for_design(&design);
+    // Forwards, then backwards, so every field follows two others.
+    for (k, &(hx, hy)) in fields.iter().chain(fields.iter().rev()).enumerate() {
+        let (hx, hy) = (AmperePerMeter::new(hx), AmperePerMeter::new(hy));
+        let reused = design.measure_field_scratch(hx, hy, 1, &mut scratch);
+        let fresh =
+            design.measure_field_scratch(hx, hy, 1, &mut MeasureScratch::for_design(&design));
+        assert_eq!(
+            reused.heading.value().to_bits(),
+            fresh.heading.value().to_bits(),
+            "fix {k}: heading differs"
+        );
+        for (got, want) in [(reused.x, fresh.x), (reused.y, fresh.y)] {
+            assert_eq!(got.count, want.count, "fix {k}: count differs");
+            assert_eq!(got.duty.to_bits(), want.duty.to_bits(), "fix {k}");
+            assert_eq!(got.clipped, want.clipped, "fix {k}");
+        }
     }
 }
 
